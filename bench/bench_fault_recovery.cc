@@ -1,6 +1,6 @@
 // Cost of the instance-failure model (DESIGN.md §7), two experiments:
 //
-//   * zero-fault overhead — the production posture (heartbeat threads +
+//   * zero-fault overhead — the production posture (heartbeat timer +
 //     failure detector + shard leases) against the same run with the
 //     detector off. The paper's contract is that fault tolerance is
 //     effectively free until a fault happens; the budget here is < 2%.

@@ -138,15 +138,6 @@ void Coordinator::SeedShards(std::vector<cp::IntDomain> shards) {
   shards_seeded_ = static_cast<int64_t>(shards_.size());
 }
 
-std::optional<cp::IntDomain> Coordinator::PopShard() {
-  if (cancelled()) return std::nullopt;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (shards_.empty()) return std::nullopt;
-  cp::IntDomain shard = shards_.front();
-  shards_.pop_front();
-  return shard;
-}
-
 std::optional<cp::IntDomain> Coordinator::PopShard(int instance) {
   std::lock_guard<std::mutex> lock(mu_);
   DQR_CHECK(instance >= 0 && instance < num_instances_);
@@ -161,19 +152,6 @@ std::optional<cp::IntDomain> Coordinator::PopShard(int instance) {
   shards_.pop_front();
   shard_lease_[static_cast<size_t>(instance)] = shard;
   return shard;
-}
-
-void Coordinator::ArriveMainSearchDone() {
-  std::unique_lock<std::mutex> lock(mu_);
-  // An instance only arrives after PopShard() handed it nullopt, so the
-  // pool is drained (or the query cancelled) by the time the last
-  // instance gets here.
-  DQR_CHECK(shards_.empty() || cancelled());
-  if (++main_arrived_ >= num_instances_) {
-    FinishMainLocked();
-    return;
-  }
-  work_cv_.wait(lock, [&] { return main_done_; });
 }
 
 bool Coordinator::NoShardLeasedLocked() const {

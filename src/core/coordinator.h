@@ -137,20 +137,12 @@ class Coordinator {
   // before the instances start. Shards are handed out lowest-first.
   void SeedShards(std::vector<cp::IntDomain> shards);
   // Pulls the next shard; nullopt once the pool is drained or the query is
-  // cancelled. Never blocks. The id-less overload takes no lease (legacy
-  // callers without failure handling).
-  std::optional<cp::IntDomain> PopShard();
-  // Leasing overload: the returned shard stays charged to `instance` until
-  // its next PopShard call (which marks the previous shard finished). If
-  // the instance dies while leased, DeclareDead requeues the shard.
+  // cancelled. Never blocks. The returned shard stays leased to
+  // `instance` until its next PopShard call (which marks the previous
+  // shard finished). If the instance dies while leased, DeclareDead
+  // requeues the shard.
   std::optional<cp::IntDomain> PopShard(int instance);
   int64_t shards_seeded() const { return shards_seeded_; }
-
-  // Legacy end-of-main-search barrier: each instance arrives once after
-  // the shard pool handed it nullopt and its validator drained; the call
-  // returns when the pool is drained AND every instance arrived. No
-  // failure handling — kept for callers that drive the pool manually.
-  void ArriveMainSearchDone();
 
   // Failure-aware end-of-main-search barrier. Returns true once every
   // *live* instance is quiescent and no shard is pooled, leased or
@@ -244,8 +236,8 @@ class Coordinator {
   std::atomic<bool> have_first_{false};
   Stopwatch clock_;
 
-  // Heartbeats are written on the hot path of every instance's beat
-  // thread; they bypass mu_ (plain atomics, one slot per instance).
+  // Heartbeats are written by the slot's beat timer on every firing;
+  // they bypass mu_ (plain atomics, one slot per instance).
   std::unique_ptr<std::atomic<int64_t>[]> heartbeat_ns_;
 
   // One mutex covers the shard pool, leases, barriers, orphan depot and

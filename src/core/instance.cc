@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -71,6 +70,7 @@ struct InstanceRunner::Impl {
     DQR_CHECK(cfg.query != nullptr && cfg.options != nullptr);
     DQR_CHECK(cfg.penalty != nullptr && cfg.rank != nullptr);
     DQR_CHECK(cfg.coordinator != nullptr && cfg.registry != nullptr);
+    DQR_CHECK(cfg.pool != nullptr);
     for (const searchlight::QueryConstraint& qc : cfg.query->constraints) {
       relaxable.push_back(qc.relaxable ? 1 : 0);
     }
@@ -121,7 +121,7 @@ struct InstanceRunner::Impl {
     return crashed_.load(std::memory_order_acquire);
   }
 
-  // Kills this instance cooperatively: all threads unwind at their next
+  // Kills this instance cooperatively: all loops unwind at their next
   // check, the validator queue rejects and releases everybody, and the
   // heartbeat stops *last* — everything recovery must see (the candidate
   // stash, the aborted queue) is published before death can be detected.
@@ -130,7 +130,7 @@ struct InstanceRunner::Impl {
     if (!crashed_.compare_exchange_strong(expected, true)) return;
     spec_stop.store(true, std::memory_order_relaxed);
     queue.Abort();
-    StopHeartbeat();
+    beating.store(false, std::memory_order_release);
   }
 
   // Solver-side hook. Returns true when this instance is (now) crashed.
@@ -175,29 +175,6 @@ struct InstanceRunner::Impl {
           std::chrono::microseconds(decision->delay_us));
     }
     return false;
-  }
-
-  void StopHeartbeat() {
-    {
-      std::lock_guard<std::mutex> lock(hb_mu);
-      hb_stop = true;
-    }
-    hb_cv.notify_all();
-  }
-
-  void HeartbeatMain() {
-    obs::ThreadTracer tracer =
-        obs::MakeTracer(cfg.options->trace, cfg.id,
-                        obs::ThreadRole::kHeartbeat,
-                        cfg.options->trace_buffer_events, cfg.trace_epoch);
-    const auto interval = std::chrono::microseconds(
-        std::max<int64_t>(1, cfg.options->heartbeat_interval_us));
-    std::unique_lock<std::mutex> lock(hb_mu);
-    while (!hb_stop) {
-      cfg.coordinator->Heartbeat(cfg.id);
-      tracer.Instant(obs::EventName::kHeartbeat);
-      hb_cv.wait_for(lock, interval, [&] { return hb_stop; });
-    }
   }
 
   // Moves orphaned candidates of dead instances into our own validator
@@ -426,7 +403,7 @@ struct InstanceRunner::Impl {
   }
 
   // ------------------------------------------------------------------
-  // Threads.
+  // Engine loops (each runs as one pool task).
 
   // Pulls and executes shards until the pool drains, the query is
   // cancelled, or this instance crashes. shards_executed counts only
@@ -477,16 +454,20 @@ struct InstanceRunner::Impl {
       FailRecord* fail = cfg.registry->Lease(ReplayMrp(), cfg.id);
       if (fail == nullptr) break;
       tracer.Instant(obs::EventName::kReplayPop, fail->brp);
-      if (fail->origin != cfg.id) {
-        ++solver_stats.replays_stolen;
+      const bool stolen = fail->origin != cfg.id;
+      if (stolen) {
         tracer.Instant(obs::EventName::kReplaySteal,
                        static_cast<double>(fail->origin));
       }
+      ReplayOutcome outcome;
       {
         obs::SpanScope span = tracer.Scope(obs::EventName::kReplayExecute);
-        ReplayOne(bundle, listener, *fail,
-                  &cfg.coordinator->cancel_flag(), solver_stats);
+        outcome = ReplayOne(bundle, listener, *fail,
+                            &cfg.coordinator->cancel_flag(), solver_stats);
       }
+      // Counted like `replays`: a fail discarded at re-check was never
+      // replayed, stolen or not.
+      if (stolen && !outcome.discarded) ++solver_stats.replays_stolen;
       if (crashed()) {
         cfg.registry->AbandonLease(cfg.id, fail);
         break;
@@ -582,7 +563,7 @@ struct InstanceRunner::Impl {
     if (crashed()) return;
     queue.Close();
     cfg.coordinator->RetireInstance(cfg.id);
-    StopHeartbeat();
+    beating.store(false, std::memory_order_release);
   }
 
   void ValidatorMain() {
@@ -821,16 +802,14 @@ struct InstanceRunner::Impl {
     total.peak_queue = queue.peak_size();
     total.max_peak_queue = queue.peak_size();
     total.main_search_s = main_done_s;
-    if (cfg.pool != nullptr) {
-      for (const exec::TaskHandle* task :
-           {&solver_task, &validator_task, &spec_task}) {
-        if (!task->valid()) continue;
-        ++total.pool_tasks;
-        if (task->warm_start()) {
-          ++total.pool_spawn_avoided;
-        } else {
-          ++total.pool_overflow_spawns;
-        }
+    for (const exec::TaskHandle* task :
+         {&solver_task, &validator_task, &spec_task}) {
+      if (!task->valid()) continue;
+      ++total.pool_tasks;
+      if (task->warm_start()) {
+        ++total.pool_spawn_avoided;
+      } else {
+        ++total.pool_overflow_spawns;
       }
     }
     return total;
@@ -843,19 +822,15 @@ struct InstanceRunner::Impl {
   std::vector<char> relaxable;
   std::vector<char> all_known;
 
-  // Engine loops as completion handles: dedicated threads in legacy mode
-  // (cfg.pool == nullptr), pool tasks otherwise — exec::Launch picks.
+  // Engine loops as completion handles of their pool tasks.
   exec::TaskHandle solver_task;
   exec::TaskHandle validator_task;
   exec::TaskHandle spec_task;
-  exec::TaskHandle heartbeat_task;
   bool started = false;
   std::atomic<bool> spec_stop{false};
   std::atomic<bool> crashed_{false};
-
-  std::mutex hb_mu;
-  std::condition_variable hb_cv;
-  bool hb_stop = false;
+  // Read by the slot's heartbeat timer (InstanceRunner::beating).
+  std::atomic<bool> beating{true};
 
   // The validator's in-flight candidate at crash time, parked for the
   // failure detector's harvest.
@@ -880,30 +855,24 @@ void InstanceRunner::Start() {
   Impl* impl = impl_.get();
   impl->started = true;
   exec::WorkerPool* pool = impl->cfg.pool;
-  // The heartbeat is pure waiting, never work: it stays a dedicated
-  // thread even in pool mode (where the slot timer beats instead and
-  // run_heartbeat is off — see ExecuteQuery).
-  if (impl->cfg.run_heartbeat) {
-    impl->heartbeat_task =
-        exec::Launch(nullptr, [impl] { impl->HeartbeatMain(); });
-  }
   if (impl->cfg.options->speculative) {
-    impl->spec_task = exec::Launch(pool, [impl] { impl->SpeculativeMain(); });
+    impl->spec_task = pool->Dispatch([impl] { impl->SpeculativeMain(); });
   }
-  impl->solver_task = exec::Launch(pool, [impl] { impl->SolverMain(); });
-  impl->validator_task =
-      exec::Launch(pool, [impl] { impl->ValidatorMain(); });
+  impl->solver_task = pool->Dispatch([impl] { impl->SolverMain(); });
+  impl->validator_task = pool->Dispatch([impl] { impl->ValidatorMain(); });
 }
 
 void InstanceRunner::Join() {
   impl_->solver_task.Wait();
   impl_->spec_task.Wait();
   impl_->validator_task.Wait();
-  impl_->StopHeartbeat();
-  impl_->heartbeat_task.Wait();
 }
 
 bool InstanceRunner::crashed() const { return impl_->crashed(); }
+
+bool InstanceRunner::beating() const {
+  return impl_->beating.load(std::memory_order_acquire);
+}
 
 std::vector<searchlight::Candidate> InstanceRunner::HarvestOrphans() {
   std::vector<Candidate> out = impl_->queue.TakeAll();

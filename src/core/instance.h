@@ -35,24 +35,21 @@ struct InstanceConfig {
   // Deterministic fault injection (null = no faults); shared by the
   // cluster, counters are per (instance, site).
   FaultInjector* injector = nullptr;
-  // Spawn the per-instance heartbeat thread (legacy mode with the
-  // failure detector on; in pool mode the query slot's timer beats for
-  // every instance instead).
-  bool run_heartbeat = false;
-  // Non-null runs the solver/validator/speculative loops as tasks on
-  // this pool instead of dedicated threads (DESIGN.md §10).
+  // The pool the solver/validator/speculative loops run on as tasks
+  // (DESIGN.md §10); required.
   exec::WorkerPool* pool = nullptr;
   // Trace epoch this instance's rings pin to; -1 = the trace's current
   // epoch (fine only while queries never overlap in time).
   int trace_epoch = -1;
 };
 
-// One simulated cluster instance: a Solver thread and a Validator thread
+// One simulated cluster instance: a Solver task and a Validator task
 // connected by a bounded candidate queue, plus an optional speculative
-// relaxation thread (§4.2). The Solver pulls main-search shards from the
-// coordinator's shared pool until it drains (morsel-style work stealing),
-// then — if the global query still lacks k results — replays the globally
-// most-promising recorded fails from the shared registry until it drains.
+// relaxation task (§4.2), all running on the configured worker pool.
+// The Solver pulls main-search shards from the coordinator's shared pool
+// until it drains (morsel-style work stealing), then — if the global
+// query still lacks k results — replays the globally most-promising
+// recorded fails from the shared registry until it drains.
 class InstanceRunner {
  public:
   explicit InstanceRunner(InstanceConfig config);
@@ -61,15 +58,22 @@ class InstanceRunner {
   InstanceRunner(const InstanceRunner&) = delete;
   InstanceRunner& operator=(const InstanceRunner&) = delete;
 
-  // Spawns the worker threads; call once.
+  // Dispatches the instance's loops onto the pool; call once.
   void Start();
-  // Blocks until all threads finish (the validator queue is closed and
+  // Blocks until all loops finish (the validator queue is closed and
   // drained).
   void Join();
 
-  // True once this instance died to an injected crash (its threads stop
+  // True once this instance died to an injected crash (its loops stop
   // cooperatively and it no longer touches shared state).
   bool crashed() const;
+
+  // True while the query slot's heartbeat timer should beat for this
+  // instance. Cleared last on a crash — after the validator queue is
+  // aborted and the in-flight candidates are stashed — so the failure
+  // detector can never harvest before everything it must recover is
+  // published; also cleared on normal retirement.
+  bool beating() const;
 
   // Failure detector hook: removes every candidate this (dead) instance
   // still had queued or in flight, for re-validation elsewhere.

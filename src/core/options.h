@@ -174,7 +174,7 @@ struct RefineOptions {
 
   // --- engine / cluster ---
   // Simulated Searchlight instances; the search space is partitioned on
-  // variable 0 and each instance runs its own solver + validator threads.
+  // variable 0 and each instance runs its own solver + validator loops.
   int num_instances = 1;
   // Morsel-style work stealing: variable 0 is split into roughly
   // shards_per_instance * num_instances contiguous shards pushed into a
@@ -205,9 +205,9 @@ struct RefineOptions {
   // bench_fault_recovery measures). Off by default: a single-process
   // simulation cannot lose an instance unless faults are injected.
   bool enable_failure_detector = false;
-  // Heartbeat cadence of each instance's beat thread (also the failure
+  // Heartbeat cadence of the query slot's beat timer (also the failure
   // detector's sweep interval). The default gives ~10 missed beats before
-  // the lease expires while keeping the beat threads' wakeups rare enough
+  // the lease expires while keeping the beat timer's wakeups rare enough
   // to stay under the < 2% zero-fault overhead budget even on a single
   // hardware thread (see bench_fault_recovery).
   int64_t heartbeat_interval_us = 25000;
@@ -218,20 +218,16 @@ struct RefineOptions {
   int64_t lease_timeout_us = 250000;
 
   // --- reentrant execution (DESIGN.md §10) ---
-  // When set, the query runs in pool mode: instance loops (solver /
-  // validator / speculative) are dispatched as tasks onto this
-  // persistent worker pool instead of freshly spawned threads, the
-  // per-instance heartbeat threads collapse into one periodic timer per
-  // query slot, and the watchdog + failure-detector sweeps ride the
-  // shared timer wheel. Null (the default) keeps the legacy per-query
-  // thread engine. Scheduling is answer-preserving either way: the final
-  // result set is schedule-invariant (DESIGN.md §3), so pool-mode
-  // results are byte-identical to legacy runs. The pool must outlive the
-  // query.
+  // The persistent worker pool the instance loops (solver / validator /
+  // speculative) are dispatched onto as tasks. Null (the default) uses
+  // the process-shared pool, exec::WorkerPool::Shared(). The final
+  // result set is schedule-invariant (DESIGN.md §3), so the choice of
+  // pool never changes the answer. The pool must outlive the query.
   exec::WorkerPool* worker_pool = nullptr;
-  // Timer wheel hosting pool-mode periodic work (heartbeats, detector
-  // sweeps, watchdog). Null with worker_pool set uses the process-shared
-  // wheel; ignored in legacy mode.
+  // Timer wheel hosting the query's periodic work: one heartbeat timer
+  // per query slot, the failure-detector sweeps and the time-budget
+  // watchdog. Null (the default) uses the process-shared wheel,
+  // exec::TimerWheel::Shared().
   exec::TimerWheel* timer_wheel = nullptr;
 
   // --- observability (DESIGN.md §8) ---

@@ -1,12 +1,10 @@
 #include "core/refiner.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <set>
-#include <thread>
 #include <utility>
 
 #include "common/check.h"
@@ -26,56 +24,6 @@
 namespace dqr::core {
 namespace {
 
-// Cancels the coordinator when the wall-clock budget expires. Legacy
-// mode owns a dedicated sleeper thread per query; pool mode registers a
-// one-shot on the shared timer wheel instead (time_budget_s option).
-class Watchdog {
- public:
-  Watchdog(Coordinator* coordinator, double budget_s,
-           exec::TimerWheel* wheel)
-      : coordinator_(coordinator), budget_s_(budget_s), wheel_(wheel) {
-    if (budget_s_ <= 0.0) return;
-    if (wheel_ != nullptr) {
-      timer_ = wheel_->AddOnce(static_cast<int64_t>(budget_s_ * 1e6),
-                               [coordinator] { coordinator->Cancel(); });
-      return;
-    }
-    thread_ = std::thread([this] { Run(); });
-  }
-
-  ~Watchdog() {
-    if (wheel_ != nullptr) {
-      if (budget_s_ > 0.0) wheel_->Cancel(timer_);
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    if (thread_.joinable()) thread_.join();
-  }
-
- private:
-  void Run() {
-    std::unique_lock<std::mutex> lock(mu_);
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::microseconds(static_cast<int64_t>(budget_s_ * 1e6));
-    cv_.wait_until(lock, deadline, [this] { return stop_; });
-    if (!stop_) coordinator_->Cancel();
-  }
-
-  Coordinator* coordinator_;
-  double budget_s_;
-  exec::TimerWheel* wheel_;
-  exec::TimerWheel::TimerId timer_ = 0;
-  std::thread thread_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-};
-
 // Sweep cadence of the failure detector: nowhere near heartbeat
 // granularity — a quarter of the lease keeps the detection-latency bound
 // at ~1.25x the lease timeout while the sweep's lock traffic stays
@@ -93,9 +41,8 @@ int64_t SweepIntervalUs(int64_t heartbeat_interval_us,
 // queued/in-flight candidates into the coordinator's orphan depot for
 // re-validation by a survivor.
 //
-// Tick() must only ever run from one thread at a time (the legacy
-// detector thread, or the shared timer wheel whose callbacks are
-// serialized); dead_ is unsynchronized on that contract.
+// Tick() runs on the shared timer wheel, whose callbacks are serialized;
+// dead_ is unsynchronized on that contract.
 class DetectorSweep {
  public:
   DetectorSweep(Coordinator* coordinator, FailRegistry* registry,
@@ -155,49 +102,6 @@ class DetectorSweep {
   obs::ThreadTracer tracer_;
   const int64_t timeout_ns_;
   std::set<int> dead_;
-};
-
-// Legacy driver: a dedicated per-query thread ticking the sweep. Pool
-// mode registers the sweep on the shared timer wheel instead.
-class FailureDetector {
- public:
-  FailureDetector(Coordinator* coordinator, FailRegistry* registry,
-                  std::vector<std::unique_ptr<InstanceRunner>>* runners,
-                  int64_t interval_us, int64_t timeout_us,
-                  obs::ThreadTracer tracer)
-      : sweep_(coordinator, registry, runners, timeout_us, tracer),
-        interval_us_(SweepIntervalUs(interval_us, timeout_us)) {
-    thread_ = std::thread([this] { Run(); });
-  }
-
-  ~FailureDetector() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    if (thread_.joinable()) thread_.join();
-  }
-
- private:
-  void Run() {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!stop_) {
-      cv_.wait_for(lock, std::chrono::microseconds(interval_us_),
-                   [this] { return stop_; });
-      if (stop_) break;
-      lock.unlock();
-      sweep_.Tick();
-      lock.lock();
-    }
-  }
-
-  DetectorSweep sweep_;
-  const int64_t interval_us_;
-  std::thread thread_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
 };
 
 Status ValidateInputs(const searchlight::QuerySpec& query,
@@ -307,15 +211,15 @@ Result<RunResult> ExecuteQuery(const searchlight::QuerySpec& query,
   int trace_epoch = -1;
   if (options.trace != nullptr) trace_epoch = options.trace->BeginQuery();
 
-  // Reentrant execution (DESIGN.md §10): pool mode schedules the
-  // instance loops onto the shared worker pool and all periodic work
-  // onto the shared timer wheel.
-  exec::WorkerPool* pool = options.worker_pool;
-  exec::TimerWheel* wheel =
-      pool == nullptr
-          ? nullptr
-          : (options.timer_wheel != nullptr ? options.timer_wheel
-                                            : &exec::TimerWheel::Shared());
+  // Reentrant execution (DESIGN.md §10): the instance loops run as tasks
+  // on a worker pool and all periodic work rides a timer wheel — the
+  // process-shared ones unless the caller supplies its own.
+  exec::WorkerPool* pool = options.worker_pool != nullptr
+                               ? options.worker_pool
+                               : &exec::WorkerPool::Shared();
+  exec::TimerWheel* wheel = options.timer_wheel != nullptr
+                                ? options.timer_wheel
+                                : &exec::TimerWheel::Shared();
 
   Result<PenaltyModel> penalty_result =
       BuildPenaltyModel(query, options.alpha);
@@ -381,7 +285,6 @@ Result<RunResult> ExecuteQuery(const searchlight::QuerySpec& query,
   // replays the globally most-promising ones out of it.
   FailRegistry registry(options.replay_order, options.max_recorded_fails);
   coordinator.AttachRegistry(&registry);
-  Watchdog watchdog(&coordinator, options.time_budget_s, wheel);
 
   // Failure model: an injector when a fault plan is supplied, and the
   // heartbeat/lease detector whenever faults are possible or the caller
@@ -408,71 +311,66 @@ Result<RunResult> ExecuteQuery(const searchlight::QuerySpec& query,
     config.coordinator = &coordinator;
     config.registry = &registry;
     config.injector = injector.get();
-    // Pool mode collapses the per-instance heartbeat threads into one
-    // periodic slot timer registered below.
-    config.run_heartbeat = detect_failures && pool == nullptr;
     config.pool = pool;
     config.trace_epoch = trace_epoch;
     runners.push_back(std::make_unique<InstanceRunner>(std::move(config)));
   }
 
   {
-    std::unique_ptr<FailureDetector> detector;   // legacy thread driver
-    std::unique_ptr<DetectorSweep> sweep;        // pool-mode sweep state
+    std::unique_ptr<DetectorSweep> sweep;
+    exec::TimerWheel::TimerId budget_timer = 0;
     exec::TimerWheel::TimerId beat_timer = 0;
     exec::TimerWheel::TimerId sweep_timer = 0;
+    Coordinator* coord = &coordinator;
+    // The watchdog: a one-shot that cancels the query when the wall-clock
+    // budget expires.
+    if (options.time_budget_s > 0.0) {
+      budget_timer =
+          wheel->AddOnce(static_cast<int64_t>(options.time_budget_s * 1e6),
+                         [coord] { coord->Cancel(); });
+    }
     // Lease timeouts are measured per slot: the clock starts when this
     // query actually begins running, not when the coordinator was built
     // (admission queueing can separate the two arbitrarily).
     coordinator.ResetHeartbeats();
     for (auto& runner : runners) runner->Start();
     if (detect_failures) {
-      obs::ThreadTracer detector_tracer =
+      // One slot timer beats every live instance — with Q concurrent
+      // queries of I instances each, Q periodic timers on the shared
+      // wheel. Firings skip instances whose beating() is false, which is
+      // how the detector sees them die; a crashing instance clears it
+      // only once everything recovery must see is published.
+      std::vector<obs::ThreadTracer> beat_tracers;
+      for (int i = 0; i < instances; ++i) {
+        beat_tracers.push_back(obs::MakeTracer(
+            options.trace, i, obs::ThreadRole::kHeartbeat,
+            options.trace_buffer_events, trace_epoch));
+      }
+      auto* runners_ptr = &runners;
+      beat_timer = wheel->AddPeriodic(
+          options.heartbeat_interval_us,
+          [coord, runners_ptr, beat_tracers]() mutable {
+            for (size_t i = 0; i < runners_ptr->size(); ++i) {
+              if (!(*runners_ptr)[i]->beating()) continue;
+              coord->Heartbeat(static_cast<int>(i));
+              beat_tracers[i].Instant(obs::EventName::kHeartbeat);
+            }
+          });
+      sweep = std::make_unique<DetectorSweep>(
+          &coordinator, &registry, &runners, options.lease_timeout_us,
           obs::MakeTracer(options.trace, /*instance=*/-1,
                           obs::ThreadRole::kDetector,
-                          options.trace_buffer_events, trace_epoch);
-      if (pool != nullptr) {
-        // One slot timer beats every live instance — with Q concurrent
-        // queries of I instances each, Q*I heartbeat threads collapse
-        // into Q periodic timers on the shared wheel. A crashed instance
-        // stops being beaten at the next firing, which is how the
-        // detector sees it die (same contract as the legacy per-instance
-        // beat thread observing hb_stop).
-        std::vector<obs::ThreadTracer> beat_tracers;
-        for (int i = 0; i < instances; ++i) {
-          beat_tracers.push_back(obs::MakeTracer(
-              options.trace, i, obs::ThreadRole::kHeartbeat,
-              options.trace_buffer_events, trace_epoch));
-        }
-        Coordinator* coord = &coordinator;
-        auto* runners_ptr = &runners;
-        beat_timer = wheel->AddPeriodic(
-            options.heartbeat_interval_us,
-            [coord, runners_ptr, beat_tracers]() mutable {
-              for (size_t i = 0; i < runners_ptr->size(); ++i) {
-                if ((*runners_ptr)[i]->crashed()) continue;
-                coord->Heartbeat(static_cast<int>(i));
-                beat_tracers[i].Instant(obs::EventName::kHeartbeat);
-              }
-            });
-        sweep = std::make_unique<DetectorSweep>(
-            &coordinator, &registry, &runners, options.lease_timeout_us,
-            detector_tracer);
-        DetectorSweep* sweep_ptr = sweep.get();
-        sweep_timer = wheel->AddPeriodic(
-            SweepIntervalUs(options.heartbeat_interval_us,
-                            options.lease_timeout_us),
-            [sweep_ptr] { sweep_ptr->Tick(); });
-      } else {
-        detector = std::make_unique<FailureDetector>(
-            &coordinator, &registry, &runners,
-            options.heartbeat_interval_us, options.lease_timeout_us,
-            detector_tracer);
-      }
+                          options.trace_buffer_events, trace_epoch));
+      DetectorSweep* sweep_ptr = sweep.get();
+      sweep_timer = wheel->AddPeriodic(
+          SweepIntervalUs(options.heartbeat_interval_us,
+                          options.lease_timeout_us),
+          [sweep_ptr] { sweep_ptr->Tick(); });
     }
     for (auto& runner : runners) runner->Join();
     // Cancel quiesces: after these return the wheel can no longer touch
     // the coordinator, registry or runners this scope owns.
+    if (budget_timer != 0) wheel->Cancel(budget_timer);
     if (beat_timer != 0) wheel->Cancel(beat_timer);
     if (sweep_timer != 0) wheel->Cancel(sweep_timer);
   }

@@ -38,11 +38,11 @@ struct SessionStats {
 
 // The multi-query front end (DESIGN.md §10): N concurrent Execute /
 // ExecuteCached calls multiplex over one persistent WorkerPool + shared
-// TimerWheel instead of each spawning its own thread complement. Every
-// call runs in a *query slot* with fully isolated per-query state — the
-// coordinator, fail registry, replay pool and DelayedBroadcast epochs
-// are constructed per call inside ExecuteQuery, so slots share only the
-// scheduler and results stay byte-identical to the single-query engine.
+// TimerWheel with admission control. Every call runs in a *query slot*
+// with fully isolated per-query state — the coordinator, fail registry,
+// replay pool and DelayedBroadcast epochs are constructed per call
+// inside ExecuteQuery, so slots share only the scheduler and results
+// stay byte-identical to a query run alone.
 //
 // Admission control is FIFO with a task-demand gate: a query needs
 // instances * (2 + speculative) pool tasks, and the head of the queue is

@@ -16,10 +16,9 @@ namespace dqr::exec {
 
 // One shared timer thread that hosts every query slot's periodic work:
 // per-slot heartbeat beats, failure-detector lease sweeps, and time-budget
-// watchdogs (DESIGN.md §10). Replaces the per-query watchdog + detector
-// threads and the per-instance heartbeat threads of the legacy engine —
-// with Q concurrent queries of I instances each, Q*(I+2) timer threads
-// collapse into this one.
+// watchdogs (DESIGN.md §10). With Q concurrent queries of I instances
+// each, one thread serves what would otherwise be Q*(I+2) sleeper
+// threads (a watchdog, a detector and I heartbeats per query).
 //
 // Callbacks run sequentially on the timer thread, so they must be short
 // and non-blocking (a heartbeat is a couple of atomic stores; a detector

@@ -30,10 +30,6 @@ void TaskHandle::Wait() const {
   if (!state_) return;
   std::unique_lock<std::mutex> lock(state_->mu);
   state_->cv.wait(lock, [&] { return state_->done; });
-  std::thread backing;
-  if (state_->thread.joinable()) backing = std::move(state_->thread);
-  lock.unlock();
-  if (backing.joinable()) backing.join();
 }
 
 bool TaskHandle::warm_start() const {
@@ -86,14 +82,19 @@ void WorkerPool::WorkerMain(Worker* self) {
       std::shared_ptr<TaskHandle::State> handle = std::move(self->handle);
       lock.unlock();
       task();
+      // Park before signalling completion: a caller that dispatches again
+      // right after Wait() must find this worker idle (not overflow) and
+      // must see busy_ already released.
+      lock.lock();
+      --busy_;
+      idle_.push_back(self);
+      lock.unlock();
       {
         std::lock_guard<std::mutex> signal(handle->mu);
         handle->done = true;
       }
       handle->cv.notify_all();
       lock.lock();
-      --busy_;
-      idle_.push_back(self);
       continue;
     }
     if (stop_) break;
@@ -162,22 +163,6 @@ WorkerPool& WorkerPool::Shared() {
   // race static destruction at process exit.
   static WorkerPool* pool = new WorkerPool();
   return *pool;
-}
-
-TaskHandle Launch(WorkerPool* pool, std::function<void()> fn) {
-  if (pool != nullptr) return pool->Dispatch(std::move(fn));
-  TaskHandle handle;
-  handle.state_ = std::make_shared<TaskHandle::State>();
-  std::shared_ptr<TaskHandle::State> state = handle.state_;
-  state->thread = std::thread([state, task = std::move(fn)] {
-    task();
-    {
-      std::lock_guard<std::mutex> signal(state->mu);
-      state->done = true;
-    }
-    state->cv.notify_all();
-  });
-  return handle;
 }
 
 }  // namespace dqr::exec

@@ -24,14 +24,6 @@ struct PoolStats {
   int64_t overflow_live = 0;   // transient threads not yet reaped (gauge)
 };
 
-class TaskHandle;
-class WorkerPool;
-
-// Unified task launcher: dispatches onto `pool` when non-null, else runs
-// `fn` on a fresh dedicated thread (the legacy per-query engine path).
-// Either way the returned handle's Wait() blocks until `fn` returned.
-TaskHandle Launch(WorkerPool* pool, std::function<void()> fn);
-
 // Completion handle for one dispatched task. Copyable (shared state);
 // Wait() blocks until the task body returned. A default-constructed
 // handle is empty and Wait() returns immediately.
@@ -42,28 +34,24 @@ class TaskHandle {
   void Wait() const;
   bool valid() const { return state_ != nullptr; }
   // True when the task ran on a warm persistent worker (no thread was
-  // spawned for it); false for overflow / legacy dedicated threads.
+  // spawned for it); false for overflow threads.
   bool warm_start() const;
 
  private:
   friend class WorkerPool;
-  friend TaskHandle Launch(WorkerPool* pool, std::function<void()> fn);
 
   struct State {
     std::mutex mu;
     std::condition_variable cv;
     bool done = false;
     bool warm = false;
-    // Dedicated thread backing this task (legacy / overflow path); joined
-    // by the first Wait() so no thread outlives its handle.
-    std::thread thread;
   };
   std::shared_ptr<State> state_;
 };
 
 // A process-lifetime pool of M persistent threads that engine loops
 // (solver / validator / speculative, per instance) are dispatched onto,
-// replacing the per-query std::thread spawn/join storm (DESIGN.md §10).
+// so a query spawns no threads of its own (DESIGN.md §10).
 //
 // Engine tasks are long-running and block on each other (barriers,
 // candidate queues), so Dispatch never parks a task behind a busy

@@ -57,6 +57,7 @@ void TenantScheduler::Pump() {
         --t.stats.queue_depth;
         ++t.stats.in_flight;
         grant_log_.push_back(name);
+        if (grant_log_.size() > kGrantLogCapacity) grant_log_.pop_front();
         granted_any = true;
       }
       if (active_ >= slots_) break;
@@ -165,7 +166,7 @@ void TenantScheduler::Resume() {
 
 std::vector<std::string> TenantScheduler::GrantLog() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return grant_log_;
+  return {grant_log_.begin(), grant_log_.end()};
 }
 
 TenantStats TenantScheduler::StatsFor(const std::string& tenant) const {

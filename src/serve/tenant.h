@@ -92,7 +92,9 @@ class TenantScheduler {
   void Pause();
   void Resume();
 
-  // Tenant names in grant order since construction (testing).
+  // The most recent kGrantLogCapacity grants' tenant names, oldest
+  // first (testing). Bounded so a long-lived server's memory stays flat.
+  static constexpr size_t kGrantLogCapacity = 1024;
   std::vector<std::string> GrantLog() const;
 
   TenantStats StatsFor(const std::string& tenant) const;
@@ -124,7 +126,7 @@ class TenantScheduler {
   std::condition_variable cv_;
   // std::map: stable lexicographic iteration is the DRR ring order.
   std::map<std::string, Tenant> tenants_;
-  std::vector<std::string> grant_log_;
+  std::deque<std::string> grant_log_;
   int64_t active_ = 0;
   uint64_t next_seq_ = 0;
   double quantum_ = 1.0;  // max demand seen; DRR's O(1) service bound

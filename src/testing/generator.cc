@@ -9,8 +9,6 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "data/query_parser.h"
-#include "exec/timer_wheel.h"
-#include "exec/worker_pool.h"
 #include "searchlight/functions.h"
 #include "searchlight/grid_functions.h"
 
@@ -738,7 +736,6 @@ std::string EngineConfig::ToString() const {
   AppendKv(&out, "det", enable_failure_detector ? "1" : "0");
   AppendKv(&out, "trace", trace ? "1" : "0");
   AppendKv(&out, "simd", simd ? "1" : "0");
-  AppendKv(&out, "pool", pool ? "1" : "0");
   AppendKv(&out, "serve", serve ? "1" : "0");
   AppendKv(&out, "profile", profile ? "1" : "0");
   return out;
@@ -809,8 +806,6 @@ Result<EngineConfig> EngineConfig::FromString(const std::string& text) {
       config.trace = value == "1";
     } else if (key == "simd") {
       config.simd = value == "1";
-    } else if (key == "pool") {
-      config.pool = value == "1";
     } else if (key == "serve") {
       config.serve = value == "1";
     } else if (key == "profile") {
@@ -839,17 +834,13 @@ core::RefineOptions EngineConfig::ToOptions(const Workload& workload,
   options.replay_order = replay_order;
   options.validator_queue = validator_queue;
   options.enable_failure_detector = enable_failure_detector;
-  if (pool) {
-    options.worker_pool = &exec::WorkerPool::Shared();
-    options.timer_wheel = &exec::TimerWheel::Shared();
-  }
 
   if (fault_crashes > 0 && num_instances > 1 && plan != nullptr) {
     *plan = MakeSurvivorCrashPlan(workload.seed ^ 0xfa57fa57fa57fa57ULL,
                                   num_instances, fault_crashes);
     options.fault_plan = plan;
     // Short lease for fast recovery on tiny fuzz problems, long enough
-    // that an independent heartbeat thread cannot plausibly miss it.
+    // that the slot's heartbeat timer cannot plausibly miss it.
     options.heartbeat_interval_us = 20000;
     options.lease_timeout_us = 120000;
   }
@@ -859,10 +850,8 @@ core::RefineOptions EngineConfig::ToOptions(const Workload& workload,
 std::vector<EngineConfig> MakeConfigMatrix(uint64_t seed, int count) {
   count = std::clamp(count, 3, 8);
   Rng rng(seed ^ 0xc0f1c0f1c0f1c0f1ULL);
-  // Pool-mode draws come from a decorrelated stream so adding the pool
-  // dimension left every pre-existing matrix draw byte-identical.
-  Rng pool_rng(seed ^ 0x9001900190019001ULL);
-  // Same trick for the profile dimension.
+  // The profile dimension draws from a decorrelated stream, so adding it
+  // left every pre-existing matrix draw byte-identical.
   Rng profile_rng(seed ^ 0x50f11e5050f11e50ULL);
   std::vector<EngineConfig> configs;
 
@@ -883,9 +872,6 @@ std::vector<EngineConfig> MakeConfigMatrix(uint64_t seed, int count) {
     c.rrd = rrd_choices[rng.UniformInt(0, 2)];
     c.save_function_state = rng.Bernoulli(0.8);
     c.simd = false;
-    // Always pool-mode, so every matrix differentials the shared-pool
-    // scheduler against the per-query-thread baseline at [0].
-    c.pool = true;
     // Always profiled, so every matrix differentials a profiled
     // work-stealing run against the unprofiled baseline at [0].
     c.profile = true;
@@ -900,7 +886,6 @@ std::vector<EngineConfig> MakeConfigMatrix(uint64_t seed, int count) {
     c.speculative = rng.Bernoulli(0.3);
     c.fault_crashes = static_cast<int>(rng.UniformInt(1, 2));
     c.enable_failure_detector = true;
-    c.pool = pool_rng.Bernoulli(0.5);
     c.profile = profile_rng.Bernoulli(0.5);
     configs.push_back(c);
   }
@@ -925,7 +910,6 @@ std::vector<EngineConfig> MakeConfigMatrix(uint64_t seed, int count) {
       c.fault_crashes = 1;
       c.enable_failure_detector = true;
     }
-    c.pool = pool_rng.Bernoulli(0.5);
     c.profile = profile_rng.Bernoulli(0.5);
     configs.push_back(c);
   }

@@ -202,11 +202,6 @@ struct EngineConfig {
   // design (common/simd.h); running each case under both settings makes
   // the differential check prove scalar == SIMD answers.
   bool simd = true;
-  // Run the engine loops on the process-shared WorkerPool + TimerWheel
-  // (DESIGN.md §10) instead of per-query threads. Scheduling is
-  // answer-preserving, so the differential harness proves pool == legacy
-  // per case.
-  bool pool = false;
   // Route the case through a loopback dqr_serve server: the workload's
   // query_text ships over the framed protocol, executes in the shared
   // engine session, and the FINAL frame's canonical body is compared

@@ -1,6 +1,6 @@
 // Concurrency determinism: N queries multiplexed over one shared
 // WorkerPool/TimerWheel (DESIGN.md §10) must produce results
-// byte-identical to the same queries run serially on dedicated threads.
+// byte-identical to the same queries run serially, one at a time.
 // Scheduling is answer-preserving (§3), and the per-slot state —
 // coordinator, fail registry, replay pool, DelayedBroadcast epochs — is
 // constructed per ExecuteQuery call; these tests are the executable form
@@ -23,7 +23,8 @@
 namespace dqr::fuzz {
 namespace {
 
-// The serial baseline: legacy dedicated-thread engine, no pool.
+// The serial baseline: one query at a time on the process-shared pool,
+// outside any session (so no admission and no concurrent neighbors).
 std::string SerialCanonical(const Workload& workload,
                             const EngineConfig& config) {
   core::FaultPlan plan;

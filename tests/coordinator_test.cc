@@ -79,24 +79,26 @@ TEST(CoordinatorTest, ShardPoolDrainsInSeededOrder) {
   coordinator.SeedShards({cp::IntDomain(0, 9), cp::IntDomain(10, 19),
                           cp::IntDomain(20, 29)});
   EXPECT_EQ(coordinator.shards_seeded(), 3);
-  auto a = coordinator.PopShard();
-  auto b = coordinator.PopShard();
-  auto c = coordinator.PopShard();
+  // Lowest-first regardless of which instance asks.
+  auto a = coordinator.PopShard(0);
+  auto b = coordinator.PopShard(1);
+  auto c = coordinator.PopShard(0);
   ASSERT_TRUE(a && b && c);
   EXPECT_EQ(a->lo, 0);
   EXPECT_EQ(b->lo, 10);
   EXPECT_EQ(c->lo, 20);
-  EXPECT_FALSE(coordinator.PopShard().has_value());  // drained
+  EXPECT_FALSE(coordinator.PopShard(1).has_value());  // drained
 }
 
 TEST(CoordinatorTest, CancelledPoolStopsHandingOutShards) {
   const RankModel rank = SimpleRank();
   Coordinator coordinator(1, 5, ConstrainMode::kNone, &rank, 0);
   coordinator.SeedShards({cp::IntDomain(0, 9), cp::IntDomain(10, 19)});
-  ASSERT_TRUE(coordinator.PopShard().has_value());
+  ASSERT_TRUE(coordinator.PopShard(0).has_value());
   coordinator.Cancel();
-  EXPECT_FALSE(coordinator.PopShard().has_value());
-  coordinator.ArriveMainSearchDone();  // must not deadlock or assert
+  EXPECT_FALSE(coordinator.PopShard(0).has_value());
+  // Must not deadlock or assert with a shard still pooled.
+  EXPECT_TRUE(coordinator.AwaitMainSearchDone(0));
 }
 
 TEST(CoordinatorTest, BarrierReleasesOnceWorkStealersDrainPool) {
@@ -109,9 +111,10 @@ TEST(CoordinatorTest, BarrierReleasesOnceWorkStealersDrainPool) {
   std::atomic<int> released{0};
   std::vector<std::thread> threads;
   for (int i = 0; i < 3; ++i) {
-    threads.emplace_back([&] {
-      while (coordinator.PopShard().has_value()) popped.fetch_add(1);
-      coordinator.ArriveMainSearchDone();
+    threads.emplace_back([&, i] {
+      while (coordinator.PopShard(i).has_value()) popped.fetch_add(1);
+      // Nothing is ever requeued here, so the barrier never bounces.
+      EXPECT_TRUE(coordinator.AwaitMainSearchDone(i));
       released.fetch_add(1);
     });
   }
@@ -152,8 +155,8 @@ TEST(CoordinatorTest, BarrierReleasesWhenAllArrive) {
   std::atomic<int> released{0};
   std::vector<std::thread> threads;
   for (int i = 0; i < 3; ++i) {
-    threads.emplace_back([&] {
-      coordinator.ArriveMainSearchDone();
+    threads.emplace_back([&, i] {
+      EXPECT_TRUE(coordinator.AwaitMainSearchDone(i));
       released.fetch_add(1);
     });
   }

@@ -73,14 +73,6 @@ TEST(WorkerPoolTest, OverflowBeyondPoolWidthStillRunsEverything) {
   for (TaskHandle& handle : hostages) handle.Wait();
 }
 
-TEST(WorkerPoolTest, LaunchWithoutPoolUsesDedicatedThread) {
-  std::atomic<bool> ran{false};
-  TaskHandle handle = Launch(nullptr, [&ran] { ran = true; });
-  handle.Wait();
-  EXPECT_TRUE(ran.load());
-  EXPECT_FALSE(handle.warm_start());
-}
-
 TEST(WorkerPoolTest, EmptyHandleWaitReturnsImmediately) {
   TaskHandle handle;
   EXPECT_FALSE(handle.valid());

@@ -29,7 +29,7 @@ std::string Fingerprint(const std::vector<Solution>& results) {
 }
 
 // Short enough to keep the sweep fast, long enough that the (independent)
-// heartbeat thread cannot plausibly miss the lease even under TSan.
+// heartbeat timer cannot plausibly miss the lease even under TSan.
 constexpr int64_t kLeaseTimeoutUs = 120000;
 
 RefineOptions SweepOptions(const FaultPlan* plan) {

@@ -77,6 +77,27 @@ TEST(ServeFairness, DeficitRoundRobinGrantsExactWeightedPattern) {
   EXPECT_EQ(sched.StatsFor("light").completed_demand, 4);
 }
 
+TEST(ServeFairness, GrantLogKeepsOnlyTheNewestGrants) {
+  // A long-lived server grants forever; the log must stay bounded while
+  // still listing the newest grants oldest first.
+  TenantScheduler sched(1);
+  constexpr int kGrants =
+      static_cast<int>(TenantScheduler::kGrantLogCapacity) + 300;
+  // Seven tenants in turn: a period that does not divide the capacity,
+  // so an off-by-one in the window would misalign the whole pattern.
+  const auto tenant_of = [](int grant) { return std::to_string(grant % 7); };
+  for (int i = 0; i < kGrants; ++i) {
+    ASSERT_TRUE(sched.Acquire(tenant_of(i), 1).ok());
+    sched.Release(tenant_of(i), 1);
+  }
+  const std::vector<std::string> log = sched.GrantLog();
+  ASSERT_EQ(log.size(), TenantScheduler::kGrantLogCapacity);
+  const int first = kGrants - static_cast<int>(log.size());
+  for (size_t j = 0; j < log.size(); ++j) {
+    ASSERT_EQ(log[j], tenant_of(first + static_cast<int>(j))) << "entry " << j;
+  }
+}
+
 TEST(ServeFairness, BudgetRejectionsAreImmediateAndPrecise) {
   TenantScheduler sched(4);
   TenantConfig config;
