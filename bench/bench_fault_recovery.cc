@@ -82,8 +82,6 @@ searchlight::QuerySpec MakeBenchQuery(const BenchBundle& bundle, int64_t k,
   searchlight::WindowFunctionContext ctx;
   ctx.array = bundle.array;
   ctx.synopsis = bundle.synopsis;
-  ctx.x_var = 0;
-  ctx.len_var = 1;
   // CPU-bound (spinning) miss cost: long enough runs that the few extra
   // microseconds per second of beat-thread wakeups are resolvable against
   // timer and scheduler noise.

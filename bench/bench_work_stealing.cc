@@ -89,8 +89,6 @@ searchlight::QuerySpec MakeSkewedQuery(const SkewedBundle& bundle,
   searchlight::WindowFunctionContext ctx;
   ctx.array = bundle.array;
   ctx.synopsis = bundle.synopsis;
-  ctx.x_var = 0;
-  ctx.len_var = 1;
   ctx.estimate_cost_ns = cost_ns;
   // Latency-bound misses (cold chunk fetches): sleeping threads overlap,
   // so the scheduling comparison is meaningful even on a small host.

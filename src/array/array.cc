@@ -1,27 +1,13 @@
 #include "array/array.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/check.h"
 #include "common/simd.h"
+#include "common/stopwatch.h"
 
 namespace dqr::array {
-namespace {
-
-// Busy-waits for roughly `ns` nanoseconds. A sleep would be descheduled
-// and under-account on loaded machines; benchmarks want a CPU-visible cost.
-void BusyWait(int64_t ns) {
-  if (ns <= 0) return;
-  const auto start = std::chrono::steady_clock::now();
-  while (std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - start)
-             .count() < ns) {
-  }
-}
-
-}  // namespace
 
 Result<std::shared_ptr<Array>> Array::FromData(ArraySchema schema,
                                                std::vector<double> data) {

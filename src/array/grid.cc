@@ -1,25 +1,13 @@
 #include "array/grid.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/check.h"
 #include "common/simd.h"
+#include "common/stopwatch.h"
 
 namespace dqr::array {
-namespace {
-
-void BusyWait(int64_t ns) {
-  if (ns <= 0) return;
-  const auto start = std::chrono::steady_clock::now();
-  while (std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - start)
-             .count() < ns) {
-  }
-}
-
-}  // namespace
 
 Result<std::shared_ptr<Grid>> Grid::FromData(GridSchema schema,
                                              std::vector<double> data) {

@@ -2,6 +2,7 @@
 #define DQR_COMMON_STOPWATCH_H_
 
 #include <chrono>
+#include <cstdint>
 
 namespace dqr {
 
@@ -22,6 +23,17 @@ class Stopwatch {
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };
+
+// Busy-waits for roughly `ns` nanoseconds. A sleep would be descheduled
+// and under-account on loaded machines; benchmarks want a CPU-visible cost.
+inline void BusyWait(int64_t ns) {
+  if (ns <= 0) return;
+  const auto start = std::chrono::steady_clock::now();
+  while (std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now() - start)
+             .count() < ns) {
+  }
+}
 
 }  // namespace dqr
 

@@ -7,7 +7,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "searchlight/grid_functions.h"
+#include "searchlight/functions.h"
 
 namespace dqr::data {
 namespace {

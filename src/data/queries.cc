@@ -129,8 +129,6 @@ searchlight::QuerySpec MakeQuery(const DatasetBundle& bundle,
   WindowFunctionContext base_ctx;
   base_ctx.array = bundle.array;
   base_ctx.synopsis = bundle.synopsis;
-  base_ctx.x_var = 0;
-  base_ctx.len_var = 1;
   base_ctx.estimate_cost_ns = tuning.estimate_cost_ns;
 
   // c1: average amplitude within [a, b].

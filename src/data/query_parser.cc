@@ -256,8 +256,6 @@ Result<searchlight::QuerySpec> BuildQuery(const ParsedQuery& parsed,
   WindowFunctionContext base_ctx;
   base_ctx.array = bundle.array;
   base_ctx.synopsis = bundle.synopsis;
-  base_ctx.x_var = 0;
-  base_ctx.len_var = 1;
   base_ctx.estimate_cost_ns = estimate_cost_ns;
 
   for (const ParsedConstraint& c : parsed.constraints) {

@@ -19,11 +19,11 @@ namespace dqr::data {
 //
 //   k <cardinality>
 //   var <name> <lo> <hi>
-//   avg <start_var> <len_var> in <a> <b> [range <lo> <hi>] [opts...]
-//   max <start_var> <len_var> in <a> <b> [range <lo> <hi>] [opts...]
-//   min <start_var> <len_var> in <a> <b> [range <lo> <hi>] [opts...]
-//   contrast_left  <start_var> <len_var> <width> in <a> <b> [range ...]
-//   contrast_right <start_var> <len_var> <width> in <a> <b> [range ...]
+//   avg <start_var> <length_var> in <a> <b> [range <lo> <hi>] [opts...]
+//   max <start_var> <length_var> in <a> <b> [range <lo> <hi>] [opts...]
+//   min <start_var> <length_var> in <a> <b> [range <lo> <hi>] [opts...]
+//   contrast_left  <start_var> <length_var> <width> in <a> <b> [range ...]
+//   contrast_right <start_var> <length_var> <width> in <a> <b> [range ...]
 //
 // Constraint options: `weight <w>` (relax weight), `rankweight <w>`,
 // `norelax` (exclude from C^r), `noconstrain` (exclude from C^c),

@@ -9,39 +9,117 @@
 
 #include "cache/bounds_memo.h"
 #include "common/check.h"
+#include "common/stopwatch.h"
 
 namespace dqr::searchlight {
 namespace {
 
-// Cache entry kinds; part of the memo key.
-constexpr int kKindValue = 0;
-constexpr int kKindMax = 1;
-constexpr int kKindMin = 2;
-
-void BusyWait(int64_t ns) {
-  if (ns <= 0) return;
-  const auto start = std::chrono::steady_clock::now();
-  while (std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - start)
-             .count() < ns) {
+// Calls f(lo_0, hi_0, ..., lo_{D-1}, hi_{D-1}): the argument order of every
+// region call on Synopsis, GridSynopsis, Array and Grid.
+template <int D, typename F>
+auto Expand(const Region<D>& r, F&& f) {
+  if constexpr (D == 1) {
+    return f(r.lo[0], r.hi[0]);
+  } else {
+    return f(r.lo[0], r.hi[0], r.lo[1], r.hi[1]);
   }
 }
 
-// Charges one cache miss: spin for CPU-bound estimation, sleep for
-// latency-bound (I/O) estimation. Sleeping yields the core, so concurrent
-// misses on different threads overlap — see WindowFunctionContext.
-void ChargeCost(int64_t ns, bool latency) {
-  if (ns <= 0) return;
-  if (latency) {
-    std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
-    return;
+// Regions as per-axis coordinate columns, the layout of the SIMD batch
+// kernels.
+template <int D>
+struct Columns {
+  std::array<std::vector<int64_t>, D> lo, hi;
+
+  explicit Columns(size_t capacity) {
+    for (int a = 0; a < D; ++a) {
+      lo[a].reserve(capacity);
+      hi[a].reserve(capacity);
+    }
   }
-  BusyWait(ns);
+  void Push(const Region<D>& r) {
+    for (int a = 0; a < D; ++a) {
+      lo[a].push_back(r.lo[a]);
+      hi[a].push_back(r.hi[a]);
+    }
+  }
+  int64_t size() const { return static_cast<int64_t>(lo[0].size()); }
+};
+
+// The per-dimension adapter: maps regions onto the 1-D Array/Synopsis or
+// the 2-D Grid/GridSynopsis calls that have no common name, and packs
+// regions into memo keys.
+template <int D>
+struct Adapter;
+
+template <>
+struct Adapter<1> {
+  // Memo kinds are kKindBase + RegionFunction::Bound.
+  static constexpr int kKindBase = 0;
+
+  static std::array<int64_t, 1> Shape(const WindowFunctionContext& ctx) {
+    DQR_CHECK(ctx.array != nullptr);
+    return {ctx.array->length()};
+  }
+  static const array::Array& Data(const WindowFunctionContext& ctx) {
+    return *ctx.array;
+  }
+  static array::WindowAggregates Aggregate(const WindowFunctionContext& ctx,
+                                           const Region<1>& r) {
+    return ctx.array->AggregateWindow(r.lo[0], r.hi[0]);
+  }
+  static void MaxOverBatch(const WindowFunctionContext& ctx,
+                           const Columns<1>& c, double* out) {
+    ctx.array->MaxOverBatch(c.lo[0].data(), c.hi[0].data(), c.size(), out);
+  }
+  static std::pair<int64_t, int64_t> Key(const Region<1>& r) {
+    return {r.lo[0], r.hi[0]};
+  }
+};
+
+template <>
+struct Adapter<2> {
+  // Disjoint from the 1-D kinds.
+  static constexpr int kKindBase = 10;
+
+  static std::array<int64_t, 2> Shape(const GridFunctionContext& ctx) {
+    DQR_CHECK(ctx.grid != nullptr);
+    // Key packs two extents into each half of the memo key.
+    DQR_CHECK(ctx.grid->rows() < (int64_t{1} << 31) &&
+              ctx.grid->cols() < (int64_t{1} << 31));
+    return {ctx.grid->rows(), ctx.grid->cols()};
+  }
+  static const array::Grid& Data(const GridFunctionContext& ctx) {
+    return *ctx.grid;
+  }
+  static array::WindowAggregates Aggregate(const GridFunctionContext& ctx,
+                                           const Region<2>& r) {
+    return ctx.grid->AggregateRect(r.lo[0], r.hi[0], r.lo[1], r.hi[1]);
+  }
+  static void MaxOverBatch(const GridFunctionContext& ctx,
+                           const Columns<2>& c, double* out) {
+    ctx.grid->MaxOverRectsBatch(c.lo[0].data(), c.hi[0].data(),
+                                c.lo[1].data(), c.hi[1].data(), c.size(),
+                                out);
+  }
+  static std::pair<int64_t, int64_t> Key(const Region<2>& r) {
+    return {(r.lo[0] << 32) | r.hi[0], (r.lo[1] << 32) | r.hi[1]};
+  }
+};
+
+// The exact max over one region, read from the base data.
+template <int D>
+double ExactMax(const RegionFunctionContext<D>& ctx, const Region<D>& r) {
+  return Expand(r, [&](auto... c) {
+    return Adapter<D>::Data(ctx).MaxOver(c...);
+  });
 }
 
 // Picks the default value range for a contrast function: differences of
 // values within the global range span [0, range width].
-WindowFunctionContext WithContrastDefaultRange(WindowFunctionContext ctx) {
+template <int D>
+RegionFunctionContext<D> WithContrastDefaultRange(
+    RegionFunctionContext<D> ctx) {
   if (ctx.value_range.empty() && ctx.synopsis != nullptr) {
     ctx.value_range =
         Interval(0.0, ctx.synopsis->global_value_range().width());
@@ -200,12 +278,12 @@ void BoundsCache::Clear() {
 }
 
 // ---------------------------------------------------------------------
-// WindowFunction
+// RegionFunction
 
-WindowFunction::WindowFunction(WindowFunctionContext ctx)
-    : ctx_(std::move(ctx)) {
-  DQR_CHECK(ctx_.array != nullptr && ctx_.synopsis != nullptr);
-  DQR_CHECK(ctx_.x_var != ctx_.len_var);
+template <int D>
+RegionFunction<D>::RegionFunction(Context ctx) : ctx_(std::move(ctx)) {
+  DQR_CHECK(ctx_.synopsis != nullptr);
+  shape_ = Adapter<D>::Shape(ctx_);
   value_range_ = ctx_.value_range.empty()
                      ? ctx_.synopsis->global_value_range()
                      : ctx_.value_range;
@@ -214,9 +292,10 @@ WindowFunction::WindowFunction(WindowFunctionContext ctx)
   }
 }
 
-std::unique_ptr<cp::FunctionState> WindowFunction::SaveState(
+template <int D>
+std::unique_ptr<cp::FunctionState> RegionFunction<D>::SaveState(
     const cp::DomainBox& box) const {
-  // The recently touched entries are exactly the window bounds the failed
+  // The recently touched entries are exactly the region bounds the failed
   // node's estimate derived (the search checks constraints on `box` right
   // before a fail is recorded), so no box-based filtering is needed.
   (void)box;
@@ -224,275 +303,272 @@ std::unique_ptr<cp::FunctionState> WindowFunction::SaveState(
   return cache_.SaveRecent();
 }
 
-void WindowFunction::RestoreState(const cp::FunctionState& state) {
+template <int D>
+void RegionFunction<D>::RestoreState(const cp::FunctionState& state) {
   cache_.Restore(state);
 }
 
-void WindowFunction::ClearState() { cache_.Clear(); }
+template <int D>
+void RegionFunction<D>::ClearState() {
+  cache_.Clear();
+}
 
-WindowFunction::WindowBox WindowFunction::ReadWindow(
+template <int D>
+typename RegionFunction<D>::Box RegionFunction<D>::ReadBox(
     const cp::DomainBox& box) const {
-  DQR_CHECK(ctx_.x_var >= 0 &&
-            static_cast<size_t>(ctx_.x_var) < box.size());
-  DQR_CHECK(ctx_.len_var >= 0 &&
-            static_cast<size_t>(ctx_.len_var) < box.size());
-  const cp::IntDomain& x = box[static_cast<size_t>(ctx_.x_var)];
-  const cp::IntDomain& l = box[static_cast<size_t>(ctx_.len_var)];
-  DQR_CHECK(x.lo >= 0 && x.hi < array_length());
-  DQR_CHECK(l.lo >= 1);
-
-  WindowBox w;
-  w.x_lo = x.lo;
-  w.x_hi = x.hi;
-  w.l_lo = l.lo;
-  w.l_hi = l.hi;
-  w.span_lo = x.lo;
-  w.span_hi = std::min(array_length(), x.hi + l.hi);
-  w.bound = x.IsBound() && l.IsBound();
-  return w;
-}
-
-int WindowFunction::EstimateLevel(const std::vector<int64_t>& point) const {
-  if (ctx_.x_var < 0 || static_cast<size_t>(ctx_.x_var) >= point.size() ||
-      ctx_.len_var < 0 ||
-      static_cast<size_t>(ctx_.len_var) >= point.size()) {
-    return -1;
+  DQR_CHECK(box.size() >= 2 * D);
+  Box b;
+  b.bound = true;
+  for (int a = 0; a < D; ++a) {
+    const cp::IntDomain& o = box[a];
+    const cp::IntDomain& e = box[D + a];
+    DQR_CHECK(o.lo >= 0 && o.hi < shape_[a]);
+    DQR_CHECK(e.lo >= 1);
+    b.o_lo[a] = o.lo;
+    b.o_hi[a] = o.hi;
+    b.e_lo[a] = e.lo;
+    b.e_hi[a] = e.hi;
+    b.bound = b.bound && o.IsBound() && e.IsBound();
   }
-  const int64_t x = point[static_cast<size_t>(ctx_.x_var)];
-  const int64_t l = point[static_cast<size_t>(ctx_.len_var)];
-  const int64_t hi = std::min(array_length(), x + l);
-  if (x < 0 || hi <= x) return -1;
-  return static_cast<int>(ctx_.synopsis->PickLevelIndex(x, hi));
+  return b;
 }
 
-void WindowFunction::ChargeMiss() const {
-  ChargeCost(ctx_.estimate_cost_ns, ctx_.cost_is_latency);
+template <int D>
+Region<D> RegionFunction<D>::Reach(const Axes& lo, const Axes& origin,
+                                   const Axes& extent) const {
+  Region<D> r;
+  for (int a = 0; a < D; ++a) {
+    r.lo[a] = lo[a];
+    r.hi[a] = std::min(shape_[a], origin[a] + extent[a]);
+  }
+  return r;
 }
 
-Interval WindowFunction::CachedValueBounds(int64_t lo, int64_t hi) {
-  if (const Interval* hit = cache_.Find(kKindValue, lo, hi)) return *hit;
+template <int D>
+Region<D> RegionFunction<D>::RegionAt(
+    const std::vector<int64_t>& point) const {
+  Axes origin, extent;
+  for (int a = 0; a < D; ++a) {
+    origin[a] = point[a];
+    extent[a] = point[D + a];
+    DQR_CHECK(origin[a] >= 0);
+  }
+  const Region<D> r = Reach(origin, origin, extent);
+  DQR_CHECK(!r.empty());
+  return r;
+}
+
+template <int D>
+int RegionFunction<D>::EstimateLevel(
+    const std::vector<int64_t>& point) const {
+  if (point.size() < 2 * D) return -1;
+  Axes origin, extent;
+  for (int a = 0; a < D; ++a) {
+    origin[a] = point[a];
+    extent[a] = point[D + a];
+    if (origin[a] < 0) return -1;
+  }
+  const Region<D> r = Reach(origin, origin, extent);
+  if (r.empty()) return -1;
+  return static_cast<int>(Expand(r, [&](auto... c) {
+    return ctx_.synopsis->PickLevelIndex(c...);
+  }));
+}
+
+template <int D>
+void RegionFunction<D>::ChargeMiss() const {
+  // Spins for CPU-bound estimation, sleeps for latency-bound (I/O)
+  // estimation. Sleeping yields the core, so concurrent misses on
+  // different threads overlap — see RegionFunctionContext.
+  const int64_t ns = ctx_.estimate_cost_ns;
+  if (ns <= 0) return;
+  if (ctx_.cost_is_latency) {
+    std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
+    return;
+  }
+  BusyWait(ns);
+}
+
+template <int D>
+Interval RegionFunction<D>::Cached(Bound bound, const Region<D>& region) {
+  const int kind = Adapter<D>::kKindBase + bound;
+  const auto [klo, khi] = Adapter<D>::Key(region);
+  if (const Interval* hit = cache_.Find(kind, klo, khi)) return *hit;
   const obs::ScopedSinkTimer bound_timer;
   ChargeMiss();
-  const Interval result = ctx_.synopsis->ValueBounds(lo, hi);
-  cache_.Insert(kKindValue, lo, hi, result);
+  const auto& synopsis = *ctx_.synopsis;
+  const Interval result = Expand(region, [&](auto... c) {
+    if (bound == kMax) return synopsis.MaxBounds(c...);
+    if (bound == kMin) return synopsis.MinBounds(c...);
+    return synopsis.ValueBounds(c...);
+  });
+  cache_.Insert(kind, klo, khi, result);
   return result;
 }
 
-Interval WindowFunction::CachedMaxBounds(int64_t lo, int64_t hi) {
-  if (const Interval* hit = cache_.Find(kKindMax, lo, hi)) return *hit;
-  const obs::ScopedSinkTimer bound_timer;
-  ChargeMiss();
-  const Interval result = ctx_.synopsis->MaxBounds(lo, hi);
-  cache_.Insert(kKindMax, lo, hi, result);
-  return result;
-}
-
-Interval WindowFunction::CachedMinBounds(int64_t lo, int64_t hi) {
-  if (const Interval* hit = cache_.Find(kKindMin, lo, hi)) return *hit;
-  const obs::ScopedSinkTimer bound_timer;
-  ChargeMiss();
-  const Interval result = ctx_.synopsis->MinBounds(lo, hi);
-  cache_.Insert(kKindMin, lo, hi, result);
-  return result;
-}
-
-Interval WindowFunction::MaxOverWindows(int64_t s_lo, int64_t s_hi,
-                                        int64_t l_lo, int64_t l_hi) {
-  const int64_t n = array_length();
-  DQR_CHECK(0 <= s_lo && s_lo <= s_hi && s_hi < n);
-  DQR_CHECK(1 <= l_lo && l_lo <= l_hi);
-  if (s_lo == s_hi) {
-    // Fixed start: the max over [s, s+l) (clamped to the array) is
-    // monotone in l, so the shortest and longest windows bound every
-    // window in between.
-    const int64_t short_hi = std::min(n, s_lo + l_lo);
-    const int64_t long_hi = std::min(n, s_lo + l_hi);
-    const Interval small = CachedMaxBounds(s_lo, short_hi);
+template <int D>
+Interval RegionFunction<D>::MaxOver(const Box& b) {
+  bool fixed_origin = true;
+  for (int a = 0; a < D; ++a) {
+    DQR_CHECK(0 <= b.o_lo[a] && b.o_lo[a] <= b.o_hi[a] &&
+              b.o_hi[a] < shape_[a]);
+    DQR_CHECK(1 <= b.e_lo[a] && b.e_lo[a] <= b.e_hi[a]);
+    fixed_origin = fixed_origin && b.o_lo[a] == b.o_hi[a];
+  }
+  if (fixed_origin) {
+    // Fixed origin: the max over a clamped region is monotone in every
+    // extent, so the smallest and largest regions bound all others.
+    const Region<D> smallest = Reach(b.o_lo, b.o_lo, b.e_lo);
+    const Region<D> largest = Reach(b.o_lo, b.o_lo, b.e_hi);
+    const Interval small = Cached(kMax, smallest);
     const Interval large =
-        long_hi == short_hi ? small : CachedMaxBounds(s_lo, long_hi);
+        largest == smallest ? small : Cached(kMax, largest);
     return Interval(small.lo, large.hi);
   }
 
-  const int64_t span_hi = std::min(n, s_hi + l_hi);
-  const Interval span_values = CachedValueBounds(s_lo, span_hi);
-  // Every window contains the common core [s_hi, s_lo + l_lo) when that
-  // range is non-empty, so the core's max bounds every window max from
-  // below.
-  const int64_t core_lo = s_hi;
-  const int64_t core_hi = std::min(n, s_lo + l_lo);
+  const Interval span_values = Cached(kValue, Span(b));
+  // Every region contains the common core when that is non-empty, so the
+  // core's max bounds every region's max from below.
+  const Region<D> core = Core(b);
   double lower = span_values.lo;
-  if (core_lo < core_hi) {
-    lower = std::max(lower, CachedMaxBounds(core_lo, core_hi).lo);
-  }
+  if (!core.empty()) lower = std::max(lower, Cached(kMax, core).lo);
   return Interval(lower, span_values.hi);
 }
 
-// ---------------------------------------------------------------------
-// AvgFunction
-
-Interval AvgFunction::Estimate(const cp::DomainBox& box) {
-  const WindowBox w = ReadWindow(box);
-  if (w.bound) {
-    const int64_t hi = std::min(array_length(), w.x_lo + w.l_lo);
-    DQR_CHECK(hi > w.x_lo);
-    // Window sums are keyed by (x, l) pairs that rarely repeat, so they
-    // are not memoized; the estimation cost is charged directly.
-    const obs::ScopedSinkTimer bound_timer;
-    ChargeMiss();
-    return synopsis().AvgBounds(w.x_lo, hi);
-  }
-  return CachedValueBounds(w.span_lo, w.span_hi);
-}
-
-double AvgFunction::Evaluate(const std::vector<int64_t>& point) {
-  CountEvaluate();
-  const int64_t x = point[static_cast<size_t>(ctx().x_var)];
-  const int64_t l = point[static_cast<size_t>(ctx().len_var)];
-  const int64_t hi = std::min(array_length(), x + l);
-  DQR_CHECK(x >= 0 && hi > x);
-  return array().AggregateWindow(x, hi).avg();
-}
-
-// ---------------------------------------------------------------------
-// MaxFunction
-
-Interval MaxFunction::Estimate(const cp::DomainBox& box) {
-  const WindowBox w = ReadWindow(box);
-  return MaxOverWindows(w.x_lo, w.x_hi, w.l_lo, w.l_hi);
-}
-
-double MaxFunction::Evaluate(const std::vector<int64_t>& point) {
-  CountEvaluate();
-  const int64_t x = point[static_cast<size_t>(ctx().x_var)];
-  const int64_t l = point[static_cast<size_t>(ctx().len_var)];
-  const int64_t hi = std::min(array_length(), x + l);
-  DQR_CHECK(x >= 0 && hi > x);
-  return array().MaxOver(x, hi);
-}
-
-void MaxFunction::EvaluateBatch(
-    const std::vector<const std::vector<int64_t>*>& points, double* out) {
-  const int64_t n = static_cast<int64_t>(points.size());
-  std::vector<int64_t> lo(points.size());
-  std::vector<int64_t> hi(points.size());
-  for (size_t i = 0; i < points.size(); ++i) {
-    CountEvaluate();
-    const std::vector<int64_t>& point = *points[i];
-    const int64_t x = point[static_cast<size_t>(ctx().x_var)];
-    const int64_t l = point[static_cast<size_t>(ctx().len_var)];
-    const int64_t end = std::min(array_length(), x + l);
-    DQR_CHECK(x >= 0 && end > x);
-    lo[i] = x;
-    hi[i] = end;
-  }
-  array().MaxOverBatch(lo.data(), hi.data(), n, out);
-}
-
-// ---------------------------------------------------------------------
-// MinFunction
-
-Interval MinFunction::Estimate(const cp::DomainBox& box) {
-  const WindowBox w = ReadWindow(box);
-  const int64_t n = array_length();
-  if (w.bound) {
-    const int64_t hi = std::min(n, w.x_lo + w.l_lo);
-    DQR_CHECK(hi > w.x_lo);
-    return CachedMinBounds(w.x_lo, hi);
-  }
-  const Interval span_values = CachedValueBounds(w.span_lo, w.span_hi);
-  // Mirror of MaxOverWindows: the common core bounds the min from above.
-  const int64_t core_lo = w.x_hi;
-  const int64_t core_hi = std::min(n, w.x_lo + w.l_lo);
+template <int D>
+Interval RegionFunction<D>::MinOver(const Box& b) {
+  if (b.bound) return Cached(kMin, Reach(b.o_lo, b.o_lo, b.e_lo));
+  const Interval span_values = Cached(kValue, Span(b));
+  // Mirror of MaxOver: the common core bounds the min from above.
+  const Region<D> core = Core(b);
   double upper = span_values.hi;
-  if (core_lo < core_hi) {
-    upper = std::min(upper, CachedMinBounds(core_lo, core_hi).hi);
-  }
+  if (!core.empty()) upper = std::min(upper, Cached(kMin, core).hi);
   return Interval(span_values.lo, upper);
 }
 
-double MinFunction::Evaluate(const std::vector<int64_t>& point) {
-  CountEvaluate();
-  const int64_t x = point[static_cast<size_t>(ctx().x_var)];
-  const int64_t l = point[static_cast<size_t>(ctx().len_var)];
-  const int64_t hi = std::min(array_length(), x + l);
-  DQR_CHECK(x >= 0 && hi > x);
-  return array().AggregateWindow(x, hi).min;
+// ---------------------------------------------------------------------
+// RegionAvgFunction
+
+template <int D>
+Interval RegionAvgFunction<D>::Estimate(const cp::DomainBox& box) {
+  const auto b = this->ReadBox(box);
+  if (!b.bound) return this->Cached(this->kValue, this->Span(b));
+  // Region sums are keyed by (origin, extent) pairs that rarely repeat,
+  // so they are not memoized; the estimation cost is charged directly.
+  const obs::ScopedSinkTimer bound_timer;
+  this->ChargeMiss();
+  return Expand(this->Reach(b.o_lo, b.o_lo, b.e_lo), [&](auto... c) {
+    return this->ctx().synopsis->AvgBounds(c...);
+  });
 }
 
-void MinFunction::EvaluateBatch(
-    const std::vector<const std::vector<int64_t>*>& points, double* out) {
-  const int64_t n = static_cast<int64_t>(points.size());
-  std::vector<int64_t> lo(points.size());
-  std::vector<int64_t> hi(points.size());
-  for (size_t i = 0; i < points.size(); ++i) {
-    CountEvaluate();
-    const std::vector<int64_t>& point = *points[i];
-    const int64_t x = point[static_cast<size_t>(ctx().x_var)];
-    const int64_t l = point[static_cast<size_t>(ctx().len_var)];
-    const int64_t end = std::min(array_length(), x + l);
-    DQR_CHECK(x >= 0 && end > x);
-    lo[i] = x;
-    hi[i] = end;
-  }
-  array().MinOverBatch(lo.data(), hi.data(), n, out);
+template <int D>
+double RegionAvgFunction<D>::Evaluate(const std::vector<int64_t>& point) {
+  return Adapter<D>::Aggregate(this->ctx(), this->RegionAt(point)).avg();
 }
 
 // ---------------------------------------------------------------------
-// NeighborhoodContrastFunction
+// RegionMaxFunction
 
-NeighborhoodContrastFunction::NeighborhoodContrastFunction(
-    WindowFunctionContext ctx, Side side, int64_t width)
-    : WindowFunction(WithContrastDefaultRange(std::move(ctx))),
+template <int D>
+Interval RegionMaxFunction<D>::Estimate(const cp::DomainBox& box) {
+  return this->MaxOver(this->ReadBox(box));
+}
+
+template <int D>
+double RegionMaxFunction<D>::Evaluate(const std::vector<int64_t>& point) {
+  return ExactMax(this->ctx(), this->RegionAt(point));
+}
+
+template <int D>
+void RegionMaxFunction<D>::EvaluateBatch(
+    const std::vector<const std::vector<int64_t>*>& points, double* out) {
+  Columns<D> regions(points.size());
+  for (const std::vector<int64_t>* point : points) {
+    regions.Push(this->RegionAt(*point));
+  }
+  Adapter<D>::MaxOverBatch(this->ctx(), regions, out);
+}
+
+// ---------------------------------------------------------------------
+// RegionContrastFunction
+
+template <int D>
+RegionContrastFunction<D>::RegionContrastFunction(
+    RegionFunctionContext<D> ctx, Side side, int64_t width)
+    : RegionFunction<D>(WithContrastDefaultRange(std::move(ctx))),
       side_(side),
       width_(width) {
   DQR_CHECK(width_ >= 1);
 }
 
-std::pair<int64_t, int64_t> NeighborhoodContrastFunction::NeighborhoodFor(
-    int64_t x, int64_t l) const {
-  const int64_t n = array_length();
+template <int D>
+Region<D> RegionContrastFunction<D>::NeighborhoodOf(
+    const Region<D>& region) const {
+  constexpr int kLast = D - 1;
+  const int64_t n = this->shape(kLast);
+  Region<D> nb = region;
   if (side_ == Side::kLeft) {
-    return {std::max<int64_t>(0, x - width_), x};
+    nb.lo[kLast] = std::max<int64_t>(0, region.lo[kLast] - width_);
+    nb.hi[kLast] = region.lo[kLast];
+  } else {
+    nb.lo[kLast] = region.hi[kLast];
+    nb.hi[kLast] = std::min(n, region.hi[kLast] + width_);
   }
-  const int64_t end = std::min(n, x + l);
-  return {end, std::min(n, end + width_)};
+  return nb;
 }
 
-Interval NeighborhoodContrastFunction::Estimate(const cp::DomainBox& box) {
-  const WindowBox w = ReadWindow(box);
-  const int64_t n = array_length();
-  const Interval main = MaxOverWindows(w.x_lo, w.x_hi, w.l_lo, w.l_hi);
+template <int D>
+Interval RegionContrastFunction<D>::Estimate(const cp::DomainBox& box) {
+  constexpr int kLast = D - 1;
+  const auto b = this->ReadBox(box);
+  const int64_t n = this->shape(kLast);
+  const Interval main = this->MaxOver(b);
 
-  // Bounds on max(neighborhood) over every (x, l) in the box, handling
-  // edge truncation soundly. `can_be_empty` marks boxes containing at
-  // least one assignment whose neighborhood collapses entirely, where the
-  // function value degenerates to 0.
+  // Bounds on max(neighborhood) over every assignment in the box,
+  // handling edge truncation along the last axis soundly. `can_be_empty`
+  // marks boxes containing at least one assignment whose neighborhood
+  // collapses entirely, where the function value degenerates to 0.
+  //
+  // Without truncation, the neighborhood is a fixed-width region whose
+  // origin slides over [lo, hi].
+  const auto sliding = [&](int64_t lo, int64_t hi) {
+    auto nb = b;
+    nb.o_lo[kLast] = lo;
+    nb.o_hi[kLast] = hi;
+    nb.e_lo[kLast] = nb.e_hi[kLast] = width_;
+    return this->MaxOver(nb);
+  };
+  // Truncated at an edge, it is some non-empty part of [lo, hi); value
+  // bounds over that band are sound for its max.
+  const auto truncated = [&](int64_t lo, int64_t hi) {
+    Region<D> band = this->Span(b);
+    band.lo[kLast] = lo;
+    band.hi[kLast] = hi;
+    return this->Cached(this->kValue, band);
+  };
   Interval nbhd = Interval::Empty();
   bool can_be_empty = false;
   if (side_ == Side::kLeft) {
-    if (w.x_hi == 0) {
+    const int64_t o_lo = b.o_lo[kLast];
+    const int64_t o_hi = b.o_hi[kLast];
+    if (o_hi == 0) {
       can_be_empty = true;  // the only neighborhood is empty
-    } else if (w.x_lo >= width_) {
-      // No truncation: a fixed-length window sliding with x.
-      nbhd = MaxOverWindows(w.x_lo - width_, w.x_hi - width_, width_,
-                            width_);
+    } else if (o_lo >= width_) {
+      nbhd = sliding(o_lo - width_, o_hi - width_);
     } else {
-      // Truncated near the left edge: the neighborhood is some non-empty
-      // sub-window of [0, x_hi) for x > 0; value bounds over that span
-      // are sound for its max.
-      nbhd = CachedValueBounds(0, w.x_hi);
-      can_be_empty = w.x_lo == 0;
+      nbhd = truncated(0, o_hi);
+      can_be_empty = o_lo == 0;
     }
   } else {
-    const int64_t e_lo = std::min(n, w.x_lo + w.l_lo);
-    const int64_t e_hi = std::min(n, w.x_hi + w.l_hi);
+    const int64_t e_lo = std::min(n, b.o_lo[kLast] + b.e_lo[kLast]);
+    const int64_t e_hi = std::min(n, b.o_hi[kLast] + b.e_hi[kLast]);
     if (e_lo >= n) {
       can_be_empty = true;  // every neighborhood starts past the end
     } else if (e_hi + width_ <= n) {
-      // No truncation: a fixed-length window sliding with the window end.
-      nbhd = MaxOverWindows(e_lo, e_hi, width_, width_);
+      nbhd = sliding(e_lo, e_hi);
     } else {
-      nbhd = CachedValueBounds(e_lo, n);
+      nbhd = truncated(e_lo, n);
       can_be_empty = e_hi >= n;
     }
   }
@@ -507,58 +583,75 @@ Interval NeighborhoodContrastFunction::Estimate(const cp::DomainBox& box) {
   return estimate;
 }
 
-double NeighborhoodContrastFunction::Evaluate(
+template <int D>
+double RegionContrastFunction<D>::Evaluate(
     const std::vector<int64_t>& point) {
-  CountEvaluate();
-  const int64_t x = point[static_cast<size_t>(ctx().x_var)];
-  const int64_t l = point[static_cast<size_t>(ctx().len_var)];
-  const int64_t hi = std::min(array_length(), x + l);
-  DQR_CHECK(x >= 0 && hi > x);
-  const double main = array().MaxOver(x, hi);
-  const auto [nb_lo, nb_hi] = NeighborhoodFor(x, l);
-  if (nb_lo >= nb_hi) return 0.0;
-  const double nbhd = array().MaxOver(nb_lo, nb_hi);
-  return std::abs(main - nbhd);
+  const Region<D> region = this->RegionAt(point);
+  const double main = ExactMax(this->ctx(), region);
+  const Region<D> nb = NeighborhoodOf(region);
+  if (nb.empty()) return 0.0;
+  return std::abs(main - ExactMax(this->ctx(), nb));
 }
 
-void NeighborhoodContrastFunction::EvaluateBatch(
+template <int D>
+void RegionContrastFunction<D>::EvaluateBatch(
     const std::vector<const std::vector<int64_t>*>& points, double* out) {
   const size_t n = points.size();
-  std::vector<int64_t> main_lo(n);
-  std::vector<int64_t> main_hi(n);
-  std::vector<int64_t> nb_lo;
-  std::vector<int64_t> nb_hi;
-  std::vector<size_t> nb_owner;  // point index of each neighborhood window
+  Columns<D> mains(n);
+  Columns<D> nbs(n);
+  std::vector<size_t> nb_owner;  // point index of each neighborhood
   for (size_t i = 0; i < n; ++i) {
-    CountEvaluate();
-    const std::vector<int64_t>& point = *points[i];
-    const int64_t x = point[static_cast<size_t>(ctx().x_var)];
-    const int64_t l = point[static_cast<size_t>(ctx().len_var)];
-    const int64_t end = std::min(array_length(), x + l);
-    DQR_CHECK(x >= 0 && end > x);
-    main_lo[i] = x;
-    main_hi[i] = end;
-    const auto [b, e] = NeighborhoodFor(x, l);
-    if (b < e) {
-      nb_lo.push_back(b);
-      nb_hi.push_back(e);
+    const Region<D> region = this->RegionAt(*points[i]);
+    mains.Push(region);
+    const Region<D> nb = NeighborhoodOf(region);
+    if (!nb.empty()) {
+      nbs.Push(nb);
       nb_owner.push_back(i);
     }
   }
-  // The scalar path reads the main window even when the neighborhood is
+  // The scalar path reads the main region even when the neighborhood is
   // empty (and then returns 0), so the batch must charge it for every
   // point too.
   std::vector<double> main_max(n);
-  array().MaxOverBatch(main_lo.data(), main_hi.data(),
-                       static_cast<int64_t>(n), main_max.data());
+  Adapter<D>::MaxOverBatch(this->ctx(), mains, main_max.data());
   std::fill(out, out + n, 0.0);
-  if (nb_lo.empty()) return;
-  std::vector<double> nb_max(nb_lo.size());
-  array().MaxOverBatch(nb_lo.data(), nb_hi.data(),
-                       static_cast<int64_t>(nb_lo.size()), nb_max.data());
+  if (nb_owner.empty()) return;
+  std::vector<double> nb_max(nb_owner.size());
+  Adapter<D>::MaxOverBatch(this->ctx(), nbs, nb_max.data());
   for (size_t k = 0; k < nb_owner.size(); ++k) {
     out[nb_owner[k]] = std::abs(main_max[nb_owner[k]] - nb_max[k]);
   }
 }
+
+// ---------------------------------------------------------------------
+// MinFunction
+
+Interval MinFunction::Estimate(const cp::DomainBox& box) {
+  return MinOver(ReadBox(box));
+}
+
+double MinFunction::Evaluate(const std::vector<int64_t>& point) {
+  const Region<1> r = RegionAt(point);
+  return ctx().array->AggregateWindow(r.lo[0], r.hi[0]).min;
+}
+
+void MinFunction::EvaluateBatch(
+    const std::vector<const std::vector<int64_t>*>& points, double* out) {
+  Columns<1> windows(points.size());
+  for (const std::vector<int64_t>* point : points) {
+    windows.Push(RegionAt(*point));
+  }
+  ctx().array->MinOverBatch(windows.lo[0].data(), windows.hi[0].data(),
+                            windows.size(), out);
+}
+
+template class RegionFunction<1>;
+template class RegionFunction<2>;
+template class RegionAvgFunction<1>;
+template class RegionAvgFunction<2>;
+template class RegionMaxFunction<1>;
+template class RegionMaxFunction<2>;
+template class RegionContrastFunction<1>;
+template class RegionContrastFunction<2>;
 
 }  // namespace dqr::searchlight

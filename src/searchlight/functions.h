@@ -1,6 +1,7 @@
 #ifndef DQR_SEARCHLIGHT_FUNCTIONS_H_
 #define DQR_SEARCHLIGHT_FUNCTIONS_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -10,8 +11,10 @@
 #include <vector>
 
 #include "array/array.h"
+#include "array/grid.h"
 #include "common/interval.h"
 #include "cp/function.h"
+#include "synopsis/grid_synopsis.h"
 #include "synopsis/synopsis.h"
 
 namespace dqr::cache {
@@ -20,11 +23,12 @@ class SharedBoundsMemo;
 
 namespace dqr::searchlight {
 
-// Memoized window-bound lookups shared by the aggregate functions below.
-// Keys are (lo, hi) windows; values are synopsis intervals together with
-// the "support" information that makes re-derivation unnecessary. This is
-// the state captured by the UDF-state-saving optimization (§4.2): fails
-// snapshot the cache, replays restore it and skip recomputation.
+// Memoized region-bound lookups shared by the aggregate functions below.
+// Keys are regions packed into (lo, hi) pairs; values are synopsis
+// intervals together with the "support" information that makes
+// re-derivation unnecessary. This is the state captured by the
+// UDF-state-saving optimization (§4.2): fails snapshot the cache, replays
+// restore it and skip recomputation.
 //
 // Eviction is second-chance FIFO: when the cache is full, the oldest
 // entry is evicted — unless it sits in the recency ring, in which case it
@@ -110,13 +114,26 @@ class BoundsCache {
   cp::FunctionMemoStats stats_;
 };
 
-// Shared construction context of a window aggregate function.
-struct WindowFunctionContext {
+// The data a region function of dimension D ranges over, with its
+// synopsis: a 1-D array or a 2-D grid.
+template <int D>
+struct RegionData;
+
+template <>
+struct RegionData<1> {
   std::shared_ptr<const array::Array> array;
   std::shared_ptr<const synopsis::Synopsis> synopsis;
-  // Indices of the decision variables: window start x and length lx.
-  int x_var = 0;
-  int len_var = 1;
+};
+
+template <>
+struct RegionData<2> {
+  std::shared_ptr<const array::Grid> grid;
+  std::shared_ptr<const synopsis::GridSynopsis> synopsis;
+};
+
+// Shared construction context of a region aggregate function.
+template <int D>
+struct RegionFunctionContext : RegionData<D> {
   // Static range of the function value (normalization + hard relaxation
   // limit). Empty => derive from the synopsis global value range.
   Interval value_range = Interval::Empty();
@@ -138,15 +155,42 @@ struct WindowFunctionContext {
   uint64_t shared_memo_key = 0;
 };
 
-// Base class implementing the window geometry shared by the concrete
-// aggregates: the window is [x, x + lx) for decision variables x, lx.
-class WindowFunction : public cp::ConstraintFunction {
+using WindowFunctionContext = RegionFunctionContext<1>;
+using GridFunctionContext = RegionFunctionContext<2>;
+
+// A D-dimensional region: per-axis [lo, hi) extents, clamped to the data.
+template <int D>
+struct Region {
+  std::array<int64_t, D> lo{};
+  std::array<int64_t, D> hi{};
+
+  bool operator==(const Region&) const = default;
+  bool empty() const {
+    for (int a = 0; a < D; ++a) {
+      if (lo[a] >= hi[a]) return true;
+    }
+    return false;
+  }
+};
+
+// Base class of the region aggregates: geometry, memoized synopsis
+// lookups and fail-time state snapshots. A region has an origin and an
+// extent per axis, read from the decision variables in a fixed order:
+// origins first, then extents. 1-D windows [x, x + lx) are (x, lx); 2-D
+// rectangles rows [y, y + h) x cols [x, x + w) are (y, x, h, w). The
+// refinement framework above is dimension-agnostic, so these functions
+// are all it takes to run the full relax/constrain machinery on
+// Searchlight's multidimensional workloads.
+template <int D>
+class RegionFunction : public cp::ConstraintFunction {
  public:
-  explicit WindowFunction(WindowFunctionContext ctx);
+  using Context = RegionFunctionContext<D>;
+
+  explicit RegionFunction(Context ctx);
 
   Interval value_range() const override { return value_range_; }
 
-  // Synopsis level the estimator consults for the candidate's own window
+  // Synopsis level the estimator consults for the candidate's own region
   // — the profiler's per-level accuracy attribution.
   int EstimateLevel(const std::vector<int64_t>& point) const override;
 
@@ -155,87 +199,139 @@ class WindowFunction : public cp::ConstraintFunction {
   void RestoreState(const cp::FunctionState& state) override;
   void ClearState() override;
 
-  // Number of exact (Validator-side) evaluations performed.
-  int64_t evaluate_calls() const { return evaluate_calls_; }
-
   cp::FunctionMemoStats memo_stats() const override {
     return cache_.stats();
   }
 
  protected:
-  // Window start/length domains from the box, with the window end clamped
-  // to the array length.
-  struct WindowBox {
-    int64_t x_lo, x_hi;    // start domain
-    int64_t l_lo, l_hi;    // length domain
-    int64_t span_lo, span_hi;  // union of all windows, clamped
-    bool bound;            // both variables bound
+  using Axes = std::array<int64_t, D>;
+
+  // Origin and extent domains per axis, as read from a search box.
+  struct Box {
+    Axes o_lo, o_hi;  // origin domains
+    Axes e_lo, e_hi;  // extent domains
+    bool bound;       // every variable bound
   };
-  WindowBox ReadWindow(const cp::DomainBox& box) const;
+  Box ReadBox(const cp::DomainBox& box) const;
 
-  // Sound bounds on max over every window [s, s+l), s in [s_lo, s_hi],
-  // l in [l_lo, l_hi]; memoized, clamped to the array.
-  Interval MaxOverWindows(int64_t s_lo, int64_t s_hi, int64_t l_lo,
-                          int64_t l_hi);
+  // Per axis, [lo, origin + extent) clamped to the data.
+  Region<D> Reach(const Axes& lo, const Axes& origin,
+                  const Axes& extent) const;
+  // The region of a complete assignment; checks that it is non-empty.
+  Region<D> RegionAt(const std::vector<int64_t>& point) const;
+  // Union of every region of the box.
+  Region<D> Span(const Box& b) const {
+    return Reach(b.o_lo, b.o_hi, b.e_hi);
+  }
+  // Intersection of every region of the box; may be empty.
+  Region<D> Core(const Box& b) const {
+    return Reach(b.o_hi, b.o_lo, b.e_lo);
+  }
 
-  // Memoized synopsis primitives (kind-tagged cache entries).
-  Interval CachedValueBounds(int64_t lo, int64_t hi);
-  Interval CachedMaxBounds(int64_t lo, int64_t hi);
-  Interval CachedMinBounds(int64_t lo, int64_t hi);
+  // Sound bounds on the max (min) over every region of the box; memoized.
+  Interval MaxOver(const Box& b);
+  Interval MinOver(const Box& b);
+
+  // Memoized synopsis bounds over one region.
+  enum Bound { kValue, kMax, kMin };
+  Interval Cached(Bound bound, const Region<D>& region);
 
   // Charges the artificial estimation cost of one uncached lookup.
   void ChargeMiss() const;
 
-  int64_t array_length() const { return ctx_.array->length(); }
-  const array::Array& array() const { return *ctx_.array; }
-  const synopsis::Synopsis& synopsis() const { return *ctx_.synopsis; }
-  const WindowFunctionContext& ctx() const { return ctx_; }
-
-  void CountEvaluate() { ++evaluate_calls_; }
+  // The data's size along an axis.
+  int64_t shape(int axis) const { return shape_[axis]; }
+  const Context& ctx() const { return ctx_; }
 
  private:
-  WindowFunctionContext ctx_;
+  Context ctx_;
+  Axes shape_;
   Interval value_range_;
   BoundsCache cache_;
-  int64_t evaluate_calls_ = 0;
 };
 
-// avg(x, x + lx) — the paper's c1-style amplitude constraint.
-class AvgFunction : public WindowFunction {
+// avg over the region — the paper's c1-style amplitude constraint.
+template <int D>
+class RegionAvgFunction : public RegionFunction<D> {
  public:
-  explicit AvgFunction(WindowFunctionContext ctx)
-      : WindowFunction(std::move(ctx)) {}
+  using RegionFunction<D>::RegionFunction;
 
-  std::string name() const override { return "avg"; }
+  std::string name() const override { return D == 1 ? "avg" : "rect_avg"; }
   Interval Estimate(const cp::DomainBox& box) override;
   double Evaluate(const std::vector<int64_t>& point) override;
   std::unique_ptr<cp::ConstraintFunction> Clone() const override {
-    return std::make_unique<AvgFunction>(ctx());
+    return std::make_unique<RegionAvgFunction>(this->ctx());
   }
 };
 
-// max(x, x + lx).
-class MaxFunction : public WindowFunction {
+// max over the region.
+template <int D>
+class RegionMaxFunction : public RegionFunction<D> {
  public:
-  explicit MaxFunction(WindowFunctionContext ctx)
-      : WindowFunction(std::move(ctx)) {}
+  using RegionFunction<D>::RegionFunction;
 
-  std::string name() const override { return "max"; }
+  std::string name() const override { return D == 1 ? "max" : "rect_max"; }
   Interval Estimate(const cp::DomainBox& box) override;
   double Evaluate(const std::vector<int64_t>& point) override;
-  // Batched windows share one SIMD pass over the base array.
+  // Batched regions share one SIMD pass over the base data.
   void EvaluateBatch(const std::vector<const std::vector<int64_t>*>& points,
                      double* out) override;
   std::unique_ptr<cp::ConstraintFunction> Clone() const override {
-    return std::make_unique<MaxFunction>(ctx());
+    return std::make_unique<RegionMaxFunction>(this->ctx());
   }
 };
 
-// min(x, x + lx).
-class MinFunction : public WindowFunction {
+// |max(region) - max(neighborhood)| — the paper's c2/c3 neighborhood
+// contrast. Along the last axis, the neighborhood is the `width`-cell band
+// immediately before the region (kLeft) or after it (kRight), clamped to
+// the data; on the other axes it spans the region's own extent.
+template <int D>
+class RegionContrastFunction : public RegionFunction<D> {
  public:
-  explicit MinFunction(WindowFunctionContext ctx)
-      : WindowFunction(std::move(ctx)) {}
+  enum class Side { kLeft, kRight };
+
+  RegionContrastFunction(RegionFunctionContext<D> ctx, Side side,
+                         int64_t width);
+
+  std::string name() const override {
+    if (side_ == Side::kLeft) {
+      return D == 1 ? "contrast_left" : "rect_contrast_left";
+    }
+    return D == 1 ? "contrast_right" : "rect_contrast_right";
+  }
+  Interval Estimate(const cp::DomainBox& box) override;
+  double Evaluate(const std::vector<int64_t>& point) override;
+  // Main regions and non-empty neighborhoods are gathered into one SIMD
+  // batch each; empty neighborhoods keep their scalar value of 0.
+  void EvaluateBatch(const std::vector<const std::vector<int64_t>*>& points,
+                     double* out) override;
+  std::unique_ptr<cp::ConstraintFunction> Clone() const override {
+    return std::make_unique<RegionContrastFunction>(this->ctx(), side_,
+                                                    width_);
+  }
+
+ private:
+  // Neighborhood of a region; empty at the data edges, where the contrast
+  // degenerates to 0.
+  Region<D> NeighborhoodOf(const Region<D>& region) const;
+
+  Side side_;
+  int64_t width_;
+};
+
+extern template class RegionFunction<1>;
+extern template class RegionFunction<2>;
+extern template class RegionAvgFunction<1>;
+extern template class RegionAvgFunction<2>;
+extern template class RegionMaxFunction<1>;
+extern template class RegionMaxFunction<2>;
+extern template class RegionContrastFunction<1>;
+extern template class RegionContrastFunction<2>;
+
+// min(x, x + lx); 1-D only.
+class MinFunction : public RegionFunction<1> {
+ public:
+  using RegionFunction<1>::RegionFunction;
 
   std::string name() const override { return "min"; }
   Interval Estimate(const cp::DomainBox& box) override;
@@ -248,38 +344,14 @@ class MinFunction : public WindowFunction {
   }
 };
 
-// |max(x, x + lx) - max(neighborhood)| — the paper's c2/c3 neighborhood
-// contrast. The neighborhood is the `width`-cell window immediately left
-// of the interval (kLeft) or right of it (kRight), clamped to the array.
-class NeighborhoodContrastFunction : public WindowFunction {
- public:
-  enum class Side { kLeft, kRight };
-
-  NeighborhoodContrastFunction(WindowFunctionContext ctx, Side side,
-                               int64_t width);
-
-  std::string name() const override {
-    return side_ == Side::kLeft ? "contrast_left" : "contrast_right";
-  }
-  Interval Estimate(const cp::DomainBox& box) override;
-  double Evaluate(const std::vector<int64_t>& point) override;
-  // Main windows and non-empty neighborhoods are gathered into one SIMD
-  // batch each; empty neighborhoods keep their scalar value of 0.
-  void EvaluateBatch(const std::vector<const std::vector<int64_t>*>& points,
-                     double* out) override;
-  std::unique_ptr<cp::ConstraintFunction> Clone() const override {
-    return std::make_unique<NeighborhoodContrastFunction>(ctx(), side_,
-                                                          width_);
-  }
-
- private:
-  // Neighborhood window for a bound (x, l); empty (lo == hi) possible at
-  // array edges, where the contrast degenerates to max(main) - max(main).
-  std::pair<int64_t, int64_t> NeighborhoodFor(int64_t x, int64_t l) const;
-
-  Side side_;
-  int64_t width_;
-};
+// The query builders' names for the 1-D window and 2-D rectangle
+// instantiations.
+using AvgFunction = RegionAvgFunction<1>;
+using MaxFunction = RegionMaxFunction<1>;
+using NeighborhoodContrastFunction = RegionContrastFunction<1>;
+using RectAvgFunction = RegionAvgFunction<2>;
+using RectMaxFunction = RegionMaxFunction<2>;
+using RectContrastFunction = RegionContrastFunction<2>;
 
 }  // namespace dqr::searchlight
 

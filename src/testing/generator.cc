@@ -10,7 +10,6 @@
 #include "common/rng.h"
 #include "data/query_parser.h"
 #include "searchlight/functions.h"
-#include "searchlight/grid_functions.h"
 
 namespace dqr::fuzz {
 namespace {
@@ -562,8 +561,6 @@ Workload MakeWorkload(uint64_t seed, FuzzMode mode,
   WindowFunctionContext base_ctx;
   base_ctx.array = w.array;
   base_ctx.synopsis = w.synopsis;
-  base_ctx.x_var = 0;
-  base_ctx.len_var = 1;
   base_ctx.estimate_cost_ns = overrides.cost_ns;
   base_ctx.shared_memo = shared_memo;
   base_ctx.shared_memo_key = memo_space;

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <time.h>
+
 #include <algorithm>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
+#include "cache/bounds_memo.h"
 #include "common/rng.h"
+#include "common/stopwatch.h"
+#include "data/grid_synthetic.h"
 #include "synopsis/synopsis.h"
 
 namespace dqr::searchlight {
@@ -21,8 +27,6 @@ struct Fixture {
     WindowFunctionContext ctx;
     ctx.array = array;
     ctx.synopsis = synopsis;
-    ctx.x_var = 0;
-    ctx.len_var = 1;
     return ctx;
   }
 };
@@ -174,40 +178,6 @@ TEST(FunctionsTest, StateSaveRestoreRoundTrip) {
   EXPECT_EQ(clone->SizeBytes(), state->SizeBytes());
 }
 
-TEST(FunctionsTest, SaveStateStaysSmallUnderHeavyUse) {
-  // Fail-time snapshots capture only the recently touched window bounds,
-  // so their size stays bounded no matter how much the search estimated —
-  // the paper reports ~80 bytes per saved aggregate state.
-  Fixture f = MakeFixture(512, 43);
-  MaxFunction mx(f.Ctx());
-  Rng rng(3);
-  for (int i = 0; i < 500; ++i) {
-    const int64_t lo = rng.UniformInt(0, 480);
-    (void)mx.Estimate({cp::IntDomain(lo, lo + 16), cp::IntDomain(4, 8)});
-  }
-  auto state = mx.SaveState({cp::IntDomain(0, 500), cp::IntDomain(4, 16)});
-  ASSERT_NE(state, nullptr);
-  EXPECT_LE(state->SizeBytes(), 6 * 64);
-}
-
-TEST(FunctionsTest, CloneIsIndependent) {
-  Fixture f = MakeFixture(128, 51);
-  AvgFunction avg(f.Ctx());
-  auto clone = avg.Clone();
-  const cp::DomainBox box = {cp::IntDomain(5, 20), cp::IntDomain(2, 6)};
-  EXPECT_EQ(avg.Estimate(box), clone->Estimate(box));
-  EXPECT_EQ(avg.value_range(), clone->value_range());
-}
-
-TEST(FunctionsTest, ContrastDefaultValueRangeSpansGlobalWidth) {
-  Fixture f = MakeFixture(128, 61);
-  NeighborhoodContrastFunction fn(
-      f.Ctx(), NeighborhoodContrastFunction::Side::kLeft, 4);
-  EXPECT_DOUBLE_EQ(fn.value_range().lo, 0.0);
-  EXPECT_DOUBLE_EQ(fn.value_range().hi,
-                   f.synopsis->global_value_range().width());
-}
-
 // ---------------------------------------------------------------------
 // BoundsCache eviction policy.
 
@@ -219,7 +189,9 @@ TEST(BoundsCacheTest, EvictsIncrementallyNeverWholesale) {
     // to 1 right after crossing capacity; second-chance FIFO keeps the
     // cache pinned at capacity instead.
     EXPECT_LE(cache.size(), 16u);
-    if (i >= 16) EXPECT_EQ(cache.size(), 16u);
+    if (i >= 16) {
+      EXPECT_EQ(cache.size(), 16u);
+    }
   }
   const cp::FunctionMemoStats stats = cache.stats();
   EXPECT_EQ(stats.evictions, 200 - 16);
@@ -239,26 +211,6 @@ TEST(BoundsCacheTest, RecentlyTouchedEntriesSurviveEviction) {
     cache.Insert(0, i, i + 1, Interval(0.0, 1.0));
   }
   EXPECT_NE(cache.Find(0, 0, 1), nullptr);
-}
-
-TEST(BoundsCacheTest, SaveRecentSurvivesInsertStorm) {
-  Fixture f = MakeFixture(512, 43);
-  MaxFunction mx(f.Ctx());
-  const cp::DomainBox box = {cp::IntDomain(50, 80), cp::IntDomain(4, 8)};
-  const Interval before = mx.Estimate(box);
-  auto state = mx.SaveState(box);
-  ASSERT_NE(state, nullptr);
-
-  // Hammer the function with other windows, then restore: the snapshot
-  // must land regardless of how full the cache got in between.
-  Rng rng(9);
-  for (int i = 0; i < 2000; ++i) {
-    const int64_t lo = rng.UniformInt(0, 480);
-    (void)mx.Estimate({cp::IntDomain(lo, lo + 16), cp::IntDomain(4, 8)});
-  }
-  mx.ClearState();
-  mx.RestoreState(*state);
-  EXPECT_EQ(mx.Estimate(box), before);
 }
 
 TEST(BoundsCacheTest, RestoreAlwaysLandsAndCountsEvictions) {
@@ -294,15 +246,151 @@ TEST(BoundsCacheTest, StatsCountHitsAndMisses) {
   EXPECT_EQ(stats.misses, 1);
 }
 
-TEST(FunctionsTest, MemoStatsExposeCacheCounters) {
-  Fixture f = MakeFixture(256, 77);
-  MaxFunction mx(f.Ctx());
-  const cp::DomainBox box = {cp::IntDomain(10, 40), cp::IntDomain(4, 8)};
+// ---------------------------------------------------------------------
+// Geometry-agnostic cases, run over 1-D windows and 2-D rectangles.
+
+// A dataset of side `n` on every axis, and a function context over it.
+template <int D>
+RegionFunctionContext<D> MakeCtx(int64_t n, uint64_t seed);
+
+template <>
+WindowFunctionContext MakeCtx<1>(int64_t n, uint64_t seed) {
+  return MakeFixture(n, seed).Ctx();
+}
+
+template <>
+GridFunctionContext MakeCtx<2>(int64_t n, uint64_t seed) {
+  const data::GridBundle bundle = data::MakeGridDataset(n, n, seed).value();
+  GridFunctionContext ctx;
+  ctx.grid = bundle.grid;
+  ctx.synopsis = bundle.synopsis;
+  return ctx;
+}
+
+// The box with origins in [lo, hi] and extents in [e_lo, e_hi] on every
+// axis.
+template <int D>
+cp::DomainBox Box(int64_t lo, int64_t hi, int64_t e_lo, int64_t e_hi) {
+  cp::DomainBox box(2 * D, cp::IntDomain(lo, hi));
+  for (int a = D; a < 2 * D; ++a) box[a] = cp::IntDomain(e_lo, e_hi);
+  return box;
+}
+
+double ThreadCpuSeconds() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+template <typename T>
+class RegionFunctionTest : public ::testing::Test {};
+
+using Dimensions = ::testing::Types<std::integral_constant<int, 1>,
+                                    std::integral_constant<int, 2>>;
+TYPED_TEST_SUITE(RegionFunctionTest, Dimensions);
+
+TYPED_TEST(RegionFunctionTest, SaveStateStaysSmallUnderHeavyUse) {
+  // Fail-time snapshots capture only the recently touched region bounds,
+  // so their size stays bounded no matter how much the search estimated —
+  // the paper reports ~80 bytes per saved aggregate state.
+  constexpr int D = TypeParam::value;
+  RegionMaxFunction<D> mx(MakeCtx<D>(512, 43));
+  Rng rng(3);
+  for (int i = 0; i < 500; ++i) {
+    const int64_t lo = rng.UniformInt(0, 480);
+    (void)mx.Estimate(Box<D>(lo, lo + 16, 4, 8));
+  }
+  auto state = mx.SaveState(Box<D>(0, 500, 4, 16));
+  ASSERT_NE(state, nullptr);
+  EXPECT_LE(state->SizeBytes(), 6 * 64);
+}
+
+TYPED_TEST(RegionFunctionTest, SaveRecentSurvivesInsertStorm) {
+  constexpr int D = TypeParam::value;
+  RegionMaxFunction<D> mx(MakeCtx<D>(512, 43));
+  const cp::DomainBox box = Box<D>(50, 80, 4, 8);
+  const Interval before = mx.Estimate(box);
+  auto state = mx.SaveState(box);
+  ASSERT_NE(state, nullptr);
+
+  // Hammer the function with other regions, then restore: the snapshot
+  // must land regardless of how full the cache got in between.
+  Rng rng(9);
+  for (int i = 0; i < 2000; ++i) {
+    const int64_t lo = rng.UniformInt(0, 480);
+    (void)mx.Estimate(Box<D>(lo, lo + 16, 4, 8));
+  }
+  mx.ClearState();
+  mx.RestoreState(*state);
+  EXPECT_EQ(mx.Estimate(box), before);
+}
+
+TYPED_TEST(RegionFunctionTest, CloneIsIndependent) {
+  constexpr int D = TypeParam::value;
+  RegionAvgFunction<D> avg(MakeCtx<D>(128, 51));
+  auto clone = avg.Clone();
+  const cp::DomainBox box = Box<D>(5, 20, 2, 6);
+  EXPECT_EQ(avg.Estimate(box), clone->Estimate(box));
+  EXPECT_EQ(avg.value_range(), clone->value_range());
+}
+
+TYPED_TEST(RegionFunctionTest, ContrastDefaultValueRangeSpansGlobalWidth) {
+  constexpr int D = TypeParam::value;
+  const RegionFunctionContext<D> ctx = MakeCtx<D>(128, 61);
+  RegionContrastFunction<D> fn(ctx, RegionContrastFunction<D>::Side::kLeft,
+                               4);
+  EXPECT_DOUBLE_EQ(fn.value_range().lo, 0.0);
+  EXPECT_DOUBLE_EQ(fn.value_range().hi,
+                   ctx.synopsis->global_value_range().width());
+}
+
+TYPED_TEST(RegionFunctionTest, MemoStatsExposeCacheCounters) {
+  constexpr int D = TypeParam::value;
+  RegionMaxFunction<D> mx(MakeCtx<D>(256, 77));
+  const cp::DomainBox box = Box<D>(10, 40, 4, 8);
   (void)mx.Estimate(box);
   (void)mx.Estimate(box);  // same box: pure cache hits
   const cp::FunctionMemoStats stats = mx.memo_stats();
   EXPECT_GT(stats.misses, 0);
   EXPECT_GT(stats.hits, 0);
+}
+
+TYPED_TEST(RegionFunctionTest, SharedMemoServesSecondInstance) {
+  // Two instances attached to one shared memo under the same space: the
+  // second is served the first one's bounds, value-identically.
+  constexpr int D = TypeParam::value;
+  cache::SharedBoundsMemo memo;
+  RegionFunctionContext<D> ctx = MakeCtx<D>(256, 83);
+  ctx.shared_memo = &memo;
+  ctx.shared_memo_key = 7;
+  RegionMaxFunction<D> first(ctx);
+  RegionMaxFunction<D> second(ctx);
+  for (const cp::DomainBox& box :
+       {Box<D>(10, 40, 4, 8), Box<D>(20, 20, 3, 9), Box<D>(100, 130, 2, 2)}) {
+    const Interval derived = first.Estimate(box);
+    EXPECT_EQ(second.Estimate(box), derived);
+  }
+  EXPECT_EQ(first.memo_stats().shared_hits, 0);
+  EXPECT_GT(second.memo_stats().shared_hits, 0);
+}
+
+TYPED_TEST(RegionFunctionTest, LatencyCostSleepsInsteadOfSpinning) {
+  // A latency-bound miss yields the core: a cold estimate spends most of
+  // its wall time off the CPU. Load only stretches the wall time, so it
+  // cannot make this fail.
+  constexpr int D = TypeParam::value;
+  RegionFunctionContext<D> ctx = MakeCtx<D>(128, 89);
+  ctx.cost_is_latency = true;
+  ctx.estimate_cost_ns = 5'000'000;
+  RegionMaxFunction<D> mx(ctx);
+  const Stopwatch wall;
+  const double cpu_start = ThreadCpuSeconds();
+  (void)mx.Estimate(Box<D>(10, 40, 4, 8));
+  const double cpu = ThreadCpuSeconds() - cpu_start;
+  const double elapsed = wall.ElapsedSeconds();
+  EXPECT_GE(elapsed, 0.005);
+  EXPECT_LT(cpu, elapsed / 2);
 }
 
 }  // namespace

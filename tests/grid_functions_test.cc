@@ -1,4 +1,4 @@
-#include "searchlight/grid_functions.h"
+#include "searchlight/functions.h"
 
 #include <gtest/gtest.h>
 

@@ -83,8 +83,6 @@ inline searchlight::QuerySpec MakeTestQuery(const SmallBundle& bundle,
   searchlight::WindowFunctionContext ctx;
   ctx.array = bundle.array;
   ctx.synopsis = bundle.synopsis;
-  ctx.x_var = 0;
-  ctx.len_var = 1;
 
   {
     searchlight::QueryConstraint c;
