@@ -34,7 +34,7 @@ Status CollectRanges(const searchlight::QuerySpec& query,
 
 Result<PenaltyModel> BuildPenaltyModel(const searchlight::QuerySpec& query,
                                        double alpha) {
-  if (alpha < 0.0 || alpha > 1.0) {
+  if (!(alpha >= 0.0 && alpha <= 1.0)) {
     return InvalidArgumentError("alpha must lie in [0, 1]");
   }
   std::vector<Interval> ranges;
@@ -48,7 +48,7 @@ Result<PenaltyModel> BuildPenaltyModel(const searchlight::QuerySpec& query,
     if (qc.bounds.empty()) {
       return InvalidArgumentError("constraint bounds are empty");
     }
-    if (qc.relax_weight < 0.0 || qc.relax_weight > 1.0) {
+    if (!(qc.relax_weight >= 0.0 && qc.relax_weight <= 1.0)) {
       return InvalidArgumentError("relax weight must lie in [0, 1]");
     }
     specs.push_back(

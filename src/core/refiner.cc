@@ -121,18 +121,22 @@ Status ValidateInputs(const searchlight::QuerySpec& query,
     if (qc.make_function == nullptr) {
       return InvalidArgumentError("constraint lacks a function factory");
     }
+    if (std::isnan(qc.bounds.lo) || std::isnan(qc.bounds.hi)) {
+      return InvalidArgumentError("constraint bounds must not be NaN");
+    }
     if (qc.bounds.empty()) {
       return InvalidArgumentError("constraint bounds are empty");
     }
-    if (qc.relax_weight < 0.0 || qc.relax_weight > 1.0) {
+    // Written so that NaN, for which every comparison is false, fails.
+    if (!(qc.relax_weight >= 0.0 && qc.relax_weight <= 1.0)) {
       return InvalidArgumentError("relax weight must lie in [0, 1]");
     }
   }
-  if (options.alpha < 0.0 || options.alpha > 1.0) {
+  if (!(options.alpha >= 0.0 && options.alpha <= 1.0)) {
     return InvalidArgumentError("alpha must lie in [0, 1]");
   }
-  if (options.replay_relaxation_distance <= 0.0 ||
-      options.replay_relaxation_distance > 1.0) {
+  if (!(options.replay_relaxation_distance > 0.0 &&
+        options.replay_relaxation_distance <= 1.0)) {
     return InvalidArgumentError("RRD must lie in (0, 1]");
   }
   if (options.num_instances < 1) {

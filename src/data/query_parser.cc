@@ -45,7 +45,9 @@ bool ParseNumber(const std::string& token, double* out) {
   }
   char* end = nullptr;
   *out = std::strtod(token.c_str(), &end);
-  return end != nullptr && *end == '\0' && !token.empty();
+  // strtod accepts "nan", which every later range check would let through.
+  return end != nullptr && *end == '\0' && !token.empty() &&
+         !std::isnan(*out);
 }
 
 bool ParseInt(const std::string& token, int64_t* out) {

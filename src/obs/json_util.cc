@@ -7,6 +7,12 @@
 namespace dqr::obs::json {
 namespace {
 
+// Objects and arrays parse recursively, so outside input (a trace file, a
+// PROFILE frame of up to 8 MiB) could otherwise nest deep enough to
+// overflow the stack. Profile trees and Chrome traces nest a few dozen
+// levels at most.
+constexpr int kMaxNesting = 512;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -45,8 +51,15 @@ class Parser {
     SkipSpace();
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     const char c = text_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxNesting) {
+        return Error("nesting deeper than " + std::to_string(kMaxNesting));
+      }
+      ++depth_;
+      Status s = c == '{' ? ParseObject(out) : ParseArray(out);
+      --depth_;
+      return s;
+    }
     if (c == '"') {
       out.kind = Value::kString;
       return ParseString(out.str);
@@ -178,6 +191,7 @@ class Parser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // objects and arrays currently open
 };
 
 }  // namespace

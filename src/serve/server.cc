@@ -85,7 +85,7 @@ Status OptionsFromFrame(const Frame& frame, core::RefineOptions* opts,
     } else if (key == "alpha") {
       auto v = frame.GetDouble(key, opts->alpha);
       if (!v.ok()) return v.status();
-      if (v.value() < 0.0 || v.value() > 1.0) {
+      if (!(v.value() >= 0.0 && v.value() <= 1.0)) {
         return InvalidArgumentError("QUERY alpha must lie in [0, 1]");
       }
       opts->alpha = v.value();
@@ -155,7 +155,7 @@ Status OptionsFromFrame(const Frame& frame, core::RefineOptions* opts,
     } else if (key == "rrd") {
       auto v = frame.GetDouble(key, opts->replay_relaxation_distance);
       if (!v.ok()) return v.status();
-      if (v.value() <= 0.0 || v.value() > 1.0) {
+      if (!(v.value() > 0.0 && v.value() <= 1.0)) {
         return InvalidArgumentError("QUERY rrd must lie in (0, 1]");
       }
       opts->replay_relaxation_distance = v.value();

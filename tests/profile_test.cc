@@ -162,6 +162,14 @@ TEST(ProfileJsonTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(ProfileFromJson("{\"version\":1,\"query\":{\"name\":\"q\"},"
                                "\"stats\":{\"query_latency\":\"junk\"}}")
                    .ok());
+  // 2 MiB of '[' used to overflow the parser's stack; a PROFILE frame
+  // body may carry up to 8 MiB.
+  const Result<QueryProfile> deep =
+      ProfileFromJson(std::string(2 << 20, '['));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_NE(deep.status().message().find("nesting deeper than 512"),
+            std::string::npos)
+      << deep.status().ToString();
 
   // Missing stats fields keep defaults: forward compatibility.
   Result<QueryProfile> minimal = ProfileFromJson(

@@ -198,6 +198,10 @@ TEST(QueryParserTest, RejectionsCarryUsefulMessages) {
        "contrast width must be >= 1"},
       {"var x 0 10\nvar l 1 4\navg x l in 5 9 weight 2\n",
        "weight needs a number in [0, 1]"},
+      {"var x 0 10\nvar l 1 4\navg x l in 5 9 weight nan\n",
+       "weight needs a number in [0, 1]"},
+      {"var x 0 10\nvar l 1 4\navg x l in nan 9\n",
+       "line 3: bounds need two ordered numbers"},
       {"var x 0 10\n", "exactly two variables"},
       {"var x 0 10\nvar l 1 4\n", "no constraints"},
   };

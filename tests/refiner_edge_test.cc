@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/refiner.h"
 #include "refiner_test_util.h"
 
@@ -36,6 +38,16 @@ TEST(RefinerEdgeTest, RejectsMalformedQueries) {
   searchlight::QuerySpec bad_weight = query;
   bad_weight.constraints[0].relax_weight = 2.0;
   EXPECT_FALSE(ExecuteQuery(bad_weight, RefineOptions{}).ok());
+
+  // NaN passes any check of the form `x < lo || x > hi`.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  searchlight::QuerySpec nan_weight = query;
+  nan_weight.constraints[0].relax_weight = nan;
+  EXPECT_FALSE(ExecuteQuery(nan_weight, RefineOptions{}).ok());
+
+  searchlight::QuerySpec nan_bound = query;
+  nan_bound.constraints[0].bounds.lo = nan;
+  EXPECT_FALSE(ExecuteQuery(nan_bound, RefineOptions{}).ok());
 }
 
 TEST(RefinerEdgeTest, RejectsMalformedOptions) {
@@ -50,6 +62,15 @@ TEST(RefinerEdgeTest, RejectsMalformedOptions) {
   RefineOptions bad_rrd;
   bad_rrd.replay_relaxation_distance = 0.0;
   EXPECT_FALSE(ExecuteQuery(query, bad_rrd).ok());
+
+  RefineOptions nan_alpha;
+  nan_alpha.alpha = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(ExecuteQuery(query, nan_alpha).ok());
+
+  RefineOptions nan_rrd;
+  nan_rrd.replay_relaxation_distance =
+      std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(ExecuteQuery(query, nan_rrd).ok());
 
   RefineOptions bad_instances;
   bad_instances.num_instances = 0;

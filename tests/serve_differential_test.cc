@@ -257,6 +257,55 @@ TEST(ServeDifferential, CachedResubmissionHitsExactlyWithSameAnswer) {
   server.Stop();
 }
 
+// strtod reads "nan", and NaN slips through every `x < lo || x > hi`
+// check, so each of these frames used to abort the server. Each must get
+// a precise ERROR, and the connection must go on serving.
+TEST(ServeDifferential, NanInputsGetErrorsAndTheConnectionKeepsServing) {
+  const fuzz::Workload w = fuzz::MakeWorkload(2, fuzz::FuzzMode::kRelax);
+  const std::string direct = DirectCanonical(w);
+
+  Server server;
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(
+      server.RegisterDataset("d", data::DatasetBundle{w.array, w.synopsis})
+          .ok());
+  Client client;
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+  ASSERT_TRUE(client.Hello("nantest").ok());
+
+  // Get reads a key's first value, so overwrite the alpha already set.
+  Frame nan_alpha = QueryFrameFor("a", "d", w, false);
+  for (auto& [key, value] : nan_alpha.attrs) {
+    if (key == "alpha") value = "nan";
+  }
+  Frame nan_rrd = QueryFrameFor("r", "d", w, false);
+  nan_rrd.Set("rrd", std::string("nan"));
+  // The first constraint line gets a trailing NaN weight option.
+  Frame nan_weight = QueryFrameFor("w", "d", w, false);
+  const size_t eol = nan_weight.body.find('\n', nan_weight.body.find(" in "));
+  ASSERT_NE(eol, std::string::npos);
+  nan_weight.body.insert(eol, " weight nan");
+
+  const struct {
+    const Frame* frame;
+    const char* want;
+  } cases[] = {{&nan_alpha, "alpha must lie in [0, 1]"},
+               {&nan_rrd, "rrd must lie in (0, 1]"},
+               {&nan_weight, "weight needs a number in [0, 1]"}};
+  for (const auto& c : cases) {
+    Result<QueryRun> run = client.RunQuery(*c.frame);
+    ASSERT_FALSE(run.ok()) << c.want;
+    EXPECT_NE(run.status().message().find(c.want), std::string::npos)
+        << run.status().ToString();
+  }
+
+  Result<QueryRun> valid = client.RunQuery(QueryFrameFor("v", "d", w, false));
+  ASSERT_TRUE(valid.ok()) << valid.status().ToString();
+  EXPECT_EQ(valid.value().canonical(), direct);
+
+  server.Stop();
+}
+
 TEST(ServeDifferential, MetricsAndTraceEndpointsServeCompletedQueries) {
   const fuzz::Workload w = fuzz::MakeWorkload(3, fuzz::FuzzMode::kConstrain);
 

@@ -213,6 +213,16 @@ TEST(CheckChromeTraceTest, RejectsMalformedJson) {
   EXPECT_FALSE(ParseChromeTrace("{}").ok());
 }
 
+TEST(CheckChromeTraceTest, RejectsNestingPastTheLimit) {
+  const Result<LoadedTrace> deep =
+      ParseChromeTrace("{\"traceEvents\":" + std::string(2 << 20, '['));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_NE(deep.status().message().find(
+                "JSON error at byte 526: nesting deeper than 512"),
+            std::string::npos)
+      << deep.status().ToString();
+}
+
 TEST(SummarizeTest, StealLatencyBucketsGapToNextPickup) {
   LoadedTrace t = NamedTrack();
   t.events.push_back(Ev("shard_execute", "B", 0.0));
