@@ -1,9 +1,8 @@
 #include "cache/semantic_cache.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <functional>
+#include <limits>
 #include <optional>
 #include <set>
 #include <utility>
@@ -123,74 +122,27 @@ std::string QueryFingerprint(const CachedQuery& cq,
   return fp;
 }
 
-WarmBounds ComputeWarmBounds(
+std::vector<core::Solution> WarmResults(
     const CachedQuery& tight, const core::RefineOptions& options,
     const std::vector<std::shared_ptr<const CachedAnswer>>& candidates) {
-  WarmBounds warm;
-  if (options.custom_penalty != nullptr || options.custom_rank != nullptr) {
+  std::vector<core::Solution> warm;
+  // Custom models are outside the cache's contract, without a cardinality
+  // target there is nothing to prune, and diversity stays excluded as in
+  // TrySubsume.
+  if (options.custom_penalty != nullptr || options.custom_rank != nullptr ||
+      !options.enable || tight.query.k <= 0 ||
+      !options.result_spacing.empty()) {
     return warm;
   }
-  const int64_t k_eff = options.enable ? tight.query.k : 0;
-  // No pools to seed without a cardinality target; with diversity the
-  // tracked pool is larger than k and cached answers cannot prove it
-  // fills, so no sound cap exists.
-  if (k_eff <= 0 || !options.result_spacing.empty()) return warm;
-  if (tight.function_ids.size() != tight.query.constraints.size()) {
-    return warm;
-  }
-
-  Result<core::PenaltyModel> penalty_r =
-      core::BuildPenaltyModel(tight.query, options.alpha);
-  if (!penalty_r.ok()) return warm;
-  const core::PenaltyModel penalty = std::move(penalty_r).value();
-  std::optional<core::RankModel> rank;
-  if (options.constrain == core::ConstrainMode::kRank) {
-    Result<core::RankModel> rank_r = core::BuildRankModel(tight.query);
-    if (!rank_r.ok()) return warm;
-    rank.emplace(std::move(rank_r).value());
-  }
-
-  // Re-score every distinct cached point inside the tight query's search
-  // space under the tight models. Each is a real solution the cold search
-  // will validate, so the k-th best re-score is a bound the cold run is
-  // guaranteed to reach — injecting it is equivalent to a schedule where
-  // these solutions were validated first.
   const size_t n = tight.query.constraints.size();
   std::set<std::vector<int64_t>> seen;
-  std::vector<double> finite_rp;
-  std::vector<double> exact_rk;
   for (const std::shared_ptr<const CachedAnswer>& cand : candidates) {
     if (cand == nullptr || !SameFunctions(tight, *cand)) continue;
     for (const core::Solution& s : cand->results) {
       if (s.values.size() != n) continue;
       if (!PointInDomains(s.point, tight.query.domains)) continue;
-      if (!seen.insert(s.point).second) continue;
-      const double rp = penalty.Penalty(s.values);
-      if (!std::isfinite(rp)) continue;
-      finite_rp.push_back(rp);
-      if (rp == 0.0 && rank.has_value()) {
-        exact_rk.push_back(rank->Rank(s.values));
-      }
+      if (seen.insert(s.point).second) warm.push_back(s);
     }
-  }
-
-  // MRP cap: the k-th smallest re-scored penalty. Needs >= k finite
-  // candidates — they witness that the cold relax pool fills at least to
-  // this level, so the cap can never prune a final pool member.
-  if (static_cast<int64_t>(finite_rp.size()) >= k_eff) {
-    auto kth = finite_rp.begin() + (k_eff - 1);
-    std::nth_element(finite_rp.begin(), kth, finite_rp.end());
-    warm.mrp_cap = *kth;
-  }
-  // MRK floor: the k-th largest rank over cached points that are exact
-  // under the tight query. Applied only once the engine's constraining
-  // phase is active (coordinator-side gate), so it cannot perturb the
-  // relax-vs-constrain decision.
-  if (rank.has_value() && static_cast<int64_t>(exact_rk.size()) >= k_eff) {
-    auto kth = exact_rk.begin() + (k_eff - 1);
-    std::nth_element(exact_rk.begin(), kth, exact_rk.end(),
-                     std::greater<double>());
-    warm.mrk_floor = *kth;
   }
   return warm;
 }
@@ -520,15 +472,12 @@ Result<core::RunResult> ExecuteQueryCached(SemanticCache* cache,
   }
 
   // --- execute, possibly warm-started, sharing the bounds memo ---
-  const WarmBounds warm = ComputeWarmBounds(cq, options, candidates);
+  const std::vector<core::Solution> warm =
+      WarmResults(cq, options, candidates);
+  resolved = warm.empty() ? CacheOutcome::kMiss : CacheOutcome::kWarmStart;
   core::RefineOptions exec_options = options;
-  if (warm.any()) {
-    exec_options.warm_mrp_cap = warm.mrp_cap;
-    exec_options.warm_mrk_floor = warm.mrk_floor;
-    resolved = CacheOutcome::kWarmStart;
-  } else {
-    resolved = CacheOutcome::kMiss;
-  }
+  exec_options.warm_results.insert(exec_options.warm_results.end(),
+                                   warm.begin(), warm.end());
 
   Result<core::RunResult> run = core::ExecuteQuery(cq.query, exec_options);
   if (outcome != nullptr) *outcome = resolved;

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -47,8 +46,8 @@ enum class CacheOutcome {
   // within its certified relaxation radius); answer synthesized without
   // executing.
   kSubsumeHit,
-  // Cached answers warm-started MRP/MRK bounds; executed with pruning
-  // head start.
+  // Cached solutions of the query seeded the result tracker; executed
+  // with the bounds they imply as a pruning head start.
   kWarmStart,
 };
 
@@ -78,30 +77,15 @@ struct CachedAnswer {
   }
 };
 
-// Admissible warm-start bounds for a query (see DESIGN.md "Cross-query
-// semantic cache"): executing with these injected is equivalent to a
-// legal schedule in which the cached solutions they were derived from
-// were validated first, so final results are byte-identical to a cold
-// run.
-struct WarmBounds {
-  double mrp_cap = std::numeric_limits<double>::infinity();
-  double mrk_floor = -std::numeric_limits<double>::infinity();
-
-  bool any() const {
-    return mrp_cap != std::numeric_limits<double>::infinity() ||
-           mrk_floor != -std::numeric_limits<double>::infinity();
-  }
-};
-
-// Derives warm-start bounds for `tight` from cached answers over the same
-// dataset/epoch/functions. The MRP cap is the k-th smallest exact
-// re-scored penalty over the cached points inside the tight query's
-// domains (requires >= k finite candidates: they prove the cold pool
-// fills at least that well). The MRK floor (rank constraining only) is
-// the k-th largest rank over cached points that are exact under the
-// tight query. Answers with mismatched functions/dataset are ignored.
-// Exposed for the cache_invariants property tests.
-WarmBounds ComputeWarmBounds(
+// The warm-start solutions for `tight` (see DESIGN.md "Cross-query
+// semantic cache"): every distinct point inside the tight query's domains
+// among `candidates` (answers of the current epoch) over the same dataset
+// and functions, with the exact function values stored for it. Passed as
+// RefineOptions::warm_results, they are admitted as if validated first, so
+// final results are byte-identical to a cold run. Empty for custom models,
+// effective k == 0 and diversity. Exposed for the cache_invariants
+// property tests.
+std::vector<core::Solution> WarmResults(
     const CachedQuery& tight, const core::RefineOptions& options,
     const std::vector<std::shared_ptr<const CachedAnswer>>& candidates);
 

@@ -1,6 +1,7 @@
 #include "core/coordinator.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/check.h"
@@ -94,6 +95,24 @@ void Coordinator::ResetHeartbeats() {
 bool Coordinator::SkylineDominatesBox(
     const std::vector<double>& corner) const {
   return tracker_.SkylineDominatesBox(corner);
+}
+
+std::optional<AddOutcome> Coordinator::Admit(
+    Solution solution, bool refined, QueryPhase phase,
+    const std::function<void(const Solution&)>& on_result) {
+  if (solution.rp != 0.0 && (!refined || std::isinf(solution.rp) ||
+                             phase == QueryPhase::kConstraining)) {
+    return std::nullopt;  // plain mode and constraining accept exact only
+  }
+  Solution streamed;
+  if (on_result) streamed = solution;
+  const AddOutcome outcome = tracker_.Add(std::move(solution));
+  if (outcome == AddOutcome::kDuplicate) return outcome;
+  const bool accepted = outcome != AddOutcome::kRejected;
+  if (accepted) NoteResult();
+  PublishProgress();
+  if (accepted && on_result) on_result(streamed);
+  return outcome;
 }
 
 void Coordinator::PublishProgress() {

@@ -1,11 +1,11 @@
 #ifndef DQR_CORE_COORDINATOR_H_
 #define DQR_CORE_COORDINATOR_H_
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -86,27 +86,9 @@ class Coordinator {
   ResultTracker& tracker() { return tracker_; }
   const ResultTracker& tracker() const { return tracker_; }
 
-  // Warm-start bounds from the semantic cache (see RefineOptions). The cap
-  // tightens every MRP view from the start; the floor joins the MRK view
-  // only in the constraining phase (before the flip it could suppress
-  // exact results that must count toward the relaxation decision). Call
-  // once before the instances start.
-  void SetWarmBounds(double mrp_cap, double mrk_floor) {
-    warm_mrp_cap_ = mrp_cap;
-    warm_mrk_floor_ = mrk_floor;
-    has_warm_mrk_floor_ =
-        mrk_floor != -std::numeric_limits<double>::infinity();
-  }
-
   // Views of MRP/MRK as an instance would see them over the interconnect.
-  double CurrentMrp() const { return std::min(mrp_.Read(), warm_mrp_cap_); }
-  double CurrentMrk() const {
-    const double mrk = mrk_.Read();
-    if (has_warm_mrk_floor_ && tracker_.phase() == QueryPhase::kConstraining) {
-      return std::max(mrk, warm_mrk_floor_);
-    }
-    return mrk;
-  }
+  double CurrentMrp() const { return mrp_.Read(); }
+  double CurrentMrk() const { return mrk_.Read(); }
 
   // Phase reads go straight to the tracker: a stale "collecting" view only
   // records extra fails, never loses results.
@@ -124,8 +106,18 @@ class Coordinator {
   // by the current skyline (skyline constraining's dynamic check).
   bool SkylineDominatesBox(const std::vector<double>& corner) const;
 
-  // Called by validators after every tracker insertion to refresh the
-  // broadcast values.
+  // Offers an exactly scored solution to the tracker under the rule every
+  // validated result follows: exact results always; relaxed ones only
+  // while refining (`refined`), with a finite RP, in the collecting
+  // `phase`. An accepted result is timestamped (NoteResult), broadcast
+  // (PublishProgress) and streamed through `on_result` (may be empty).
+  // Returns nullopt when the rule refused the solution before the tracker
+  // saw it.
+  std::optional<AddOutcome> Admit(
+      Solution solution, bool refined, QueryPhase phase,
+      const std::function<void(const Solution&)>& on_result);
+
+  // Refreshes the broadcast MRP/MRK from the tracker and streams progress.
   void PublishProgress();
 
   // Records the first confirmed result's timestamp (idempotent).
@@ -217,11 +209,6 @@ class Coordinator {
   // routed through ResultTracker (under its lock).
   DelayedBroadcast mrp_;
   DelayedBroadcast mrk_;
-  // Warm-start bounds (SetWarmBounds); written once before the instances
-  // start, read-only afterwards.
-  double warm_mrp_cap_ = std::numeric_limits<double>::infinity();
-  double warm_mrk_floor_ = -std::numeric_limits<double>::infinity();
-  bool has_warm_mrk_floor_ = false;
   // Progress streaming (SetProgressSink): the sink plus the last emitted
   // values, all guarded by progress_mu_ — emissions must be serialized
   // so a reordered pair of PublishProgress calls cannot stream a bound

@@ -696,36 +696,21 @@ struct InstanceRunner::Impl {
       }
     }
 
-    if (solution.rp == 0.0) {
-      ++stats.exact_results;
-    } else if (!refined || std::isinf(solution.rp) ||
-               phase == QueryPhase::kConstraining) {
-      return;  // plain mode and constraining accept exact results only
-    }
-
-    const bool streaming = static_cast<bool>(cfg.options->on_result);
+    if (solution.rp == 0.0) ++stats.exact_results;
     const double rp = solution.rp;
     const double rk = solution.rk;
-    Solution streamed;
-    if (streaming) streamed = solution;
-    const AddOutcome outcome =
-        cfg.coordinator->tracker().Add(std::move(solution));
-    switch (outcome) {
+    const std::optional<AddOutcome> outcome = cfg.coordinator->Admit(
+        std::move(solution), refined, phase, cfg.options->on_result);
+    if (!outcome.has_value()) return;
+    switch (*outcome) {
       case AddOutcome::kAcceptedExact:
-        cfg.coordinator->NoteResult();
-        cfg.coordinator->PublishProgress();
         tracer.Instant(obs::EventName::kResultExact, rk);
-        if (streaming) cfg.options->on_result(streamed);
         break;
       case AddOutcome::kAcceptedRelaxed:
         ++stats.relaxed_accepted;
-        cfg.coordinator->NoteResult();
-        cfg.coordinator->PublishProgress();
         tracer.Instant(obs::EventName::kResultRelaxed, rp);
-        if (streaming) cfg.options->on_result(streamed);
         break;
       case AddOutcome::kRejected:
-        cfg.coordinator->PublishProgress();
         break;
       case AddOutcome::kDuplicate:
         ++stats.duplicates;

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <vector>
 
 #include "core/solution.h"
@@ -134,20 +133,16 @@ struct RefineOptions {
   const PenaltyModel* custom_penalty = nullptr;
   const RankModel* custom_rank = nullptr;
 
-  // --- warm start (cross-query semantic cache, DESIGN.md) ---
-  // Initial upper bound on MRP injected before the search starts. Must be
-  // *admissible*: some legal schedule of this very query reaches an MRP at
-  // least this tight (e.g. the k-th best re-scored penalty over cached
-  // solutions of an overlapping query — real solutions the search will
-  // confirm). The engine prunes strictly above MRP, so an admissible cap
-  // never drops a final-pool member and results stay byte-identical to a
-  // cold run. +inf (the default) disables it.
-  double warm_mrp_cap = std::numeric_limits<double>::infinity();
-  // Initial lower bound on MRK, applied only once the query enters the
-  // constraining phase (rank mode): before the phase flip an MRK floor
-  // could suppress exact results that must count toward the flip decision.
-  // Same admissibility contract as warm_mrp_cap. -inf disables it.
-  double warm_mrk_floor = -std::numeric_limits<double>::infinity();
+  // --- warm start (cross-query semantic cache, DESIGN.md §9) ---
+  // Known solutions of this very query: each point must lie inside the
+  // query's domains and carry the exact function values at that point, in
+  // constraint order (e.g. cached results of an overlapping query over
+  // the same data). Before any search runs they are re-scored under this
+  // query's penalty and rank models (their rp/rk fields are ignored) and
+  // offered to the result tracker exactly as a validator would, so MRP,
+  // MRK and the phase flip start where a schedule that validated them
+  // first would put them, and results stay byte-identical to a cold run.
+  std::vector<Solution> warm_results;
 
   // --- search heuristics ---
   // The Solver's decision process, tunable as in Searchlight. Heuristics

@@ -163,11 +163,25 @@ Status ValidateInputs(const searchlight::QuerySpec& query,
   if (options.trace != nullptr && options.trace_buffer_events <= 0) {
     return InvalidArgumentError("trace_buffer_events must be positive");
   }
-  if (std::isnan(options.warm_mrp_cap) || options.warm_mrp_cap < 0.0) {
-    return InvalidArgumentError("warm_mrp_cap must be >= 0");
-  }
-  if (std::isnan(options.warm_mrk_floor)) {
-    return InvalidArgumentError("warm_mrk_floor must not be NaN");
+  for (const Solution& warm : options.warm_results) {
+    if (warm.point.size() != query.domains.size()) {
+      return InvalidArgumentError(
+          "warm result needs one coordinate per decision variable");
+    }
+    if (warm.values.size() != query.constraints.size()) {
+      return InvalidArgumentError(
+          "warm result needs one value per constraint");
+    }
+    for (size_t i = 0; i < warm.point.size(); ++i) {
+      if (!query.domains[i].Contains(warm.point[i])) {
+        return InvalidArgumentError("warm result lies outside the domains");
+      }
+    }
+    for (const double v : warm.values) {
+      if (!std::isfinite(v)) {
+        return InvalidArgumentError("warm result values must be finite");
+      }
+    }
   }
   if (options.heartbeat_interval_us <= 0) {
     return InvalidArgumentError("heartbeat_interval_us must be positive");
@@ -280,9 +294,20 @@ Result<RunResult> ExecuteQuery(const searchlight::QuerySpec& query,
   Coordinator coordinator(instances, effective_k, mode, &rank,
                           options.broadcast_delay_us,
                           std::move(diversity));
-  coordinator.SetWarmBounds(options.warm_mrp_cap, options.warm_mrk_floor);
   if (options.on_progress) {
     coordinator.SetProgressSink(options.on_progress);
+  }
+  // Warm start (DESIGN.md §9): the known solutions are re-scored under
+  // this query's models and admitted as if validated before any search
+  // ran, so every bound below derives from tracker contents.
+  for (const Solution& warm : options.warm_results) {
+    Solution seeded;
+    seeded.point = warm.point;
+    seeded.values = warm.values;
+    seeded.rp = penalty.Penalty(seeded.values);
+    seeded.rk = rank.Rank(seeded.values);
+    coordinator.Admit(std::move(seeded), effective_k > 0,
+                      coordinator.CurrentPhase(), options.on_result);
   }
   coordinator.SeedShards(std::move(shards));
   // The cluster-wide replay pool: every instance records fails into it and

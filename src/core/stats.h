@@ -130,7 +130,7 @@ namespace dqr::core {
   X(int64_t, answer_cache_subsumption_hits, 0, SUM,                          \
     "Queries answered by subsumption from a looser cached answer")           \
   X(int64_t, answer_cache_warm_starts, 0, SUM,                               \
-    "Queries executed with cache-derived warm MRP/MRK bounds")               \
+    "Queries executed with cached solutions seeding the result tracker")     \
   X(int64_t, pool_tasks, 0, SUM,                                             \
     "Engine loops dispatched onto the shared worker pool")                   \
   X(int64_t, pool_spawn_avoided, 0, SUM,                                     \

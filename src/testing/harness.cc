@@ -632,16 +632,18 @@ FuzzReport RunFuzz(const FuzzOptions& options) {
         MakeConfigMatrix(seed, options.configs_per_seed);
 
     if (options.sessions) {
-      // Session campaign: the seed's mutation chain (length 3..5, seeded)
-      // replayed warm-vs-cold under the matrix's baseline and
-      // work-stealing configs. Two configs, not the full matrix — each
-      // session case already multiplies cost by 2x the chain length.
+      // Session campaign: the seed's mutation chain (2..12 mutations, so
+      // 3..13 queries, seeded) replayed warm-vs-cold under the matrix's
+      // baseline and work-stealing configs. Long chains are where cached
+      // answers pile up across shifts and relaxations. Two configs, not
+      // the full matrix — each session case already multiplies cost by
+      // 2x the chain length.
       for (size_t ci = 0; ci < configs.size() && ci < 2; ++ci) {
         CaseConfig c;
         c.seed = seed;
         c.mode = mode;
         c.grid = grid;
-        c.session = 2 + static_cast<int>(seed % 3);
+        c.session = 2 + static_cast<int>(seed % 11);
         c.config = configs[ci];
         if (options.trace_mix) c.config.trace = ((seed + ci) & 1) != 0;
         // The simd override is process-global: concurrent drivers pin the

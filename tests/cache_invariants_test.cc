@@ -1,8 +1,9 @@
 // Property tests for the cross-query semantic cache (DESIGN.md
-// "Cross-query semantic cache"): warm-start bounds must be admissible
-// (injecting them never changes the answer), subsumption must never
-// synthesize a wrong answer (whenever it fires, its output is
-// byte-identical to a cold run), and the session codec round-trips.
+// "Cross-query semantic cache"): warm-start solutions must be exact
+// solutions of the query (seeding them never changes the answer),
+// subsumption must never synthesize a wrong answer (whenever it fires,
+// its output is byte-identical to a cold run), and the session codec
+// round-trips.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 
 #include "cache/bounds_memo.h"
 #include "cache/semantic_cache.h"
+#include "core/bundle.h"
 #include "core/canonical.h"
 #include "core/refiner.h"
 #include "testing/generator.h"
@@ -117,60 +119,61 @@ TEST(SharedBoundsMemoTest, EpochInvalidationErasesTheSpace) {
   EXPECT_FALSE(sem.memo().Lookup(sem.MemoSpace(dataset), 0, 3, 9, &got));
 }
 
-// The headline warm-start property: bounds derived from a cached looser
-// answer must be admissible for the tighter query — running with them
-// injected returns byte-identical results to the cold run, and no final
-// result ever lies beyond the injected cap/floor.
-TEST(WarmStartInvariantsTest, WarmBoundsAreAdmissible) {
-  int derived = 0;
-  for (uint64_t seed = 1; seed <= 16; ++seed) {
-    const FuzzMode mode =
-        seed % 2 == 0 ? FuzzMode::kConstrain : FuzzMode::kRelax;
+// The headline warm-start property: the solutions WarmResults draws from
+// a cached answer of the previous query really are solutions of the next
+// one — inside its domains, carrying the exact function values at their
+// points — and seeding them changes nothing: the seeded run returns
+// byte-identical results to the cold run. Every (mode, mutation, shape)
+// combination is drawn: relax/constrain/skyline, relax/tighten/shift,
+// 1-D and grid.
+TEST(WarmStartInvariantsTest, WarmResultsAreExactAndSeedingIsInvisible) {
+  constexpr FuzzMode kModes[] = {FuzzMode::kRelax, FuzzMode::kConstrain,
+                                 FuzzMode::kSkyline};
+  constexpr SessionMutation kMutations[] = {SessionMutation::kRelax,
+                                            SessionMutation::kTighten,
+                                            SessionMutation::kShift};
+  int seeded = 0;
+  for (uint64_t seed = 0; seed < 18; ++seed) {
     WorkloadOverrides overrides;
     overrides.no_diversity = true;
     SessionPlan plan;
-    plan.steps = {SessionMutation::kTighten};
-    const QuerySession session =
-        MakeSession(seed, mode, plan, overrides, seed % 4 == 3);
-    const Workload& loose = session.steps[0];
-    const Workload& tight = session.steps[1];
+    plan.steps = {kMutations[(seed / 3) % 3]};
+    const QuerySession session = MakeSession(
+        seed + 1, kModes[seed % 3], plan, overrides, /*grid=*/seed >= 9);
+    const Workload& earlier = session.steps[0];
+    const Workload& next = session.steps[1];
 
-    const auto loose_run = ColdRun(loose);
-    ASSERT_TRUE(loose_run.ok()) << loose.summary;
+    const auto earlier_run = ColdRun(earlier);
+    ASSERT_TRUE(earlier_run.ok()) << earlier.summary;
     const auto answer = std::make_shared<const cache::CachedAnswer>(
-        MakeAnswer(loose, session.dataset_id, loose_run.value()));
+        MakeAnswer(earlier, session.dataset_id, earlier_run.value()));
 
     EngineConfig config;
-    core::RefineOptions options = config.ToOptions(tight, nullptr);
-    const cache::WarmBounds warm = cache::ComputeWarmBounds(
-        AsCachedQuery(tight, session.dataset_id), options, {answer});
+    core::RefineOptions seeded_options = config.ToOptions(next, nullptr);
+    seeded_options.warm_results = cache::WarmResults(
+        AsCachedQuery(next, session.dataset_id), seeded_options, {answer});
 
-    const auto cold = ColdRun(tight);
-    ASSERT_TRUE(cold.ok()) << tight.summary;
-    const std::string baseline = core::Canonicalize(cold.value().results);
-
-    if (warm.any()) {
-      ++derived;
-      // Structural admissibility: the true top-k survives the bounds.
-      for (const core::Solution& s : cold.value().results) {
-        EXPECT_LE(s.rp, warm.mrp_cap + 1e-12) << tight.summary;
-        if (s.rp == 0.0) {
-          EXPECT_GE(s.rk, warm.mrk_floor - 1e-12) << tight.summary;
-        }
+    core::ConstraintBundle functions(next.query);
+    for (const core::Solution& s : seeded_options.warm_results) {
+      ASSERT_EQ(s.point.size(), next.query.domains.size()) << next.summary;
+      for (size_t i = 0; i < s.point.size(); ++i) {
+        EXPECT_TRUE(next.query.domains[i].Contains(s.point[i]))
+            << next.summary;
       }
+      EXPECT_EQ(s.values, functions.EvaluateAll(s.point)) << next.summary;
     }
-    // End-to-end admissibility: injected bounds never change the answer
-    // (vacuously true when warm.any() is false — still worth running).
-    core::RefineOptions warmed = config.ToOptions(tight, nullptr);
-    warmed.warm_mrp_cap = warm.mrp_cap;
-    warmed.warm_mrk_floor = warm.mrk_floor;
-    const auto warm_run = core::ExecuteQuery(tight.query, warmed);
-    ASSERT_TRUE(warm_run.ok()) << tight.summary;
-    EXPECT_EQ(core::Canonicalize(warm_run.value().results), baseline)
-        << tight.summary;
+    if (!seeded_options.warm_results.empty()) ++seeded;
+
+    const auto cold = ColdRun(next);
+    ASSERT_TRUE(cold.ok()) << next.summary;
+    const auto warm = core::ExecuteQuery(next.query, seeded_options);
+    ASSERT_TRUE(warm.ok()) << next.summary;
+    EXPECT_EQ(core::Canonicalize(warm.value().results),
+              core::Canonicalize(cold.value().results))
+        << next.summary;
   }
   // The property must not pass vacuously.
-  EXPECT_GT(derived, 0) << "no seed ever derived warm bounds";
+  EXPECT_GT(seeded, 0) << "no draw ever produced warm results";
 }
 
 // The headline subsumption property: whenever TrySubsume certifies an
@@ -254,7 +257,7 @@ TEST(SemanticCacheTest, ExactHitsAndInvalidation) {
 }
 
 // A mismatched function id must fence off every reuse path: same spec,
-// different id => no exact hit, no subsumption, no warm bounds.
+// different id => no exact hit, no subsumption, no warm start.
 TEST(SemanticCacheTest, FunctionIdentityFencesReuse) {
   cache::SemanticCache sem;
   const QuerySession session =

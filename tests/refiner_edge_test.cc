@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
 #include "core/refiner.h"
 #include "refiner_test_util.h"
@@ -79,6 +80,72 @@ TEST(RefinerEdgeTest, RejectsMalformedOptions) {
   RefineOptions bad_cap;
   bad_cap.max_recorded_fails = 0;
   EXPECT_FALSE(ExecuteQuery(query, bad_cap).ok());
+
+  // Warm results must be points of the search space with one finite
+  // value per constraint.
+  const std::vector<Solution> all = BruteForceAll(query);
+  ASSERT_FALSE(all.empty());
+  const auto rejected = [&](const RefineOptions& options) {
+    return ExecuteQuery(query, options).status().code() ==
+           StatusCode::kInvalidArgument;
+  };
+
+  RefineOptions warm_point_arity;
+  warm_point_arity.warm_results = {all.front()};
+  warm_point_arity.warm_results[0].point.push_back(0);
+  EXPECT_TRUE(rejected(warm_point_arity));
+
+  RefineOptions warm_value_arity;
+  warm_value_arity.warm_results = {all.front()};
+  warm_value_arity.warm_results[0].values.pop_back();
+  EXPECT_TRUE(rejected(warm_value_arity));
+
+  RefineOptions warm_outside;
+  warm_outside.warm_results = {all.front()};
+  warm_outside.warm_results[0].point[0] = query.domains[0].hi + 1;
+  EXPECT_TRUE(rejected(warm_outside));
+
+  RefineOptions warm_nan;
+  warm_nan.warm_results = {all.front()};
+  warm_nan.warm_results[0].values[0] =
+      std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(rejected(warm_nan));
+
+  RefineOptions warm_inf;
+  warm_inf.warm_results = {all.front()};
+  warm_inf.warm_results[0].values[0] =
+      std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(rejected(warm_inf));
+}
+
+// Warm results are re-scored under the query's own models, so garbage in
+// their rp/rk fields cannot leak into the answer: seeding every
+// finite-penalty point, scores scrambled, returns exactly the cold results.
+TEST(RefinerEdgeTest, WarmResultScoresAreRecomputed) {
+  const auto bundle = MakeSmallBundle();
+  TestQueryParams relaxing;
+  relaxing.contrast_min = 70.0;
+  TestQueryParams constraining;
+  constraining.avg_bounds = Interval(105, 250);
+  constraining.contrast_min = 20.0;
+  for (const TestQueryParams& p : {relaxing, constraining}) {
+    const searchlight::QuerySpec query = MakeTestQuery(bundle, p);
+    const RunResult cold = ExecuteQuery(query, RefineOptions{}).value();
+
+    RefineOptions seeded;
+    seeded.warm_results = BruteForceAll(query);
+    for (Solution& s : seeded.warm_results) {
+      s.rp = -1.0;
+      s.rk = std::numeric_limits<double>::quiet_NaN();
+    }
+    const RunResult warm = ExecuteQuery(query, seeded).value();
+    ASSERT_EQ(warm.results.size(), cold.results.size());
+    for (size_t i = 0; i < cold.results.size(); ++i) {
+      EXPECT_EQ(warm.results[i].point, cold.results[i].point);
+      EXPECT_EQ(warm.results[i].rp, cold.results[i].rp);
+      EXPECT_EQ(warm.results[i].rk, cold.results[i].rk);
+    }
+  }
 }
 
 TEST(RefinerEdgeTest, KZeroReturnsEveryExactResult) {

@@ -93,6 +93,35 @@ TEST(SessionDifferentialTest, InjectedBugIsCaughtAndSessionShrinks) {
       << ReproLine(shrunk);
 }
 
+// Pinned reproducers of warm starts that once returned wrong answers,
+// when the cache injected numeric bounds equal to the exact score of a
+// cached point the engine had not validated: a rank floor that pruned the
+// subtree of the oracle's k-th result by a few ulps, and a penalty cap
+// that lost the k-th relaxation. Seeding the tracker with the cached
+// solutions themselves must keep both sessions oracle-exact.
+CaseConfig PinnedCase(uint64_t seed, FuzzMode mode, bool grid, int session) {
+  CaseConfig c;
+  c.seed = seed;
+  c.mode = mode;
+  c.grid = grid;
+  c.session = session;
+  c.config = EngineConfig::FromString("inst=1;shards=1").value();
+  return c;
+}
+
+TEST(SessionDifferentialTest, WarmRankFloorKeepsTheKthResult) {
+  const CaseConfig c = PinnedCase(6, FuzzMode::kConstrain, /*grid=*/true, 7);
+  const CaseResult r = RunSessionCase(c);
+  EXPECT_TRUE(r.ok) << ReproLine(c) << "\n" << r.detail << "\n" << r.error;
+}
+
+TEST(SessionDifferentialTest, WarmPenaltyCapKeepsTheKthRelaxation) {
+  CaseConfig c = PinnedCase(705, FuzzMode::kSkyline, /*grid=*/false, 2);
+  c.overrides.default_alpha = true;
+  const CaseResult r = RunSessionCase(c);
+  EXPECT_TRUE(r.ok) << ReproLine(c) << "\n" << r.detail << "\n" << r.error;
+}
+
 TEST(SessionDifferentialTest, CampaignRunsSessionsClean) {
   FuzzOptions options;
   options.start_seed = 1;

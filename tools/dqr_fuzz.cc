@@ -50,8 +50,8 @@ void Usage() {
       "  --trace-mix         enable flight-recorder tracing on ~half the\n"
       "                      cases (tracing must never change an answer)\n"
       "  --sessions          run correlated query sessions (seeded\n"
-      "                      mutation chains) warm-cache vs cold instead\n"
-      "                      of the single-query matrix\n"
+      "                      chains of 2-12 mutations) warm-cache vs cold\n"
+      "                      instead of the single-query matrix\n"
       "  --serve             route eligible cases through a loopback\n"
       "                      dqr_serve server (text IR over the framed\n"
       "                      protocol; answers must stay byte-identical)\n"
