@@ -42,7 +42,7 @@ struct SharedMemoStats {
   int64_t evictions = 0;
 };
 
-// The process-wide L2 behind the per-query searchlight::BoundsCache:
+// The process-wide L2 behind each solver's searchlight::BoundsCache:
 // synopsis window bounds keyed on (memo space, kind, lo, hi), shared by
 // every function instance of every concurrent query over the same data.
 // A window's bounds are a pure function of (synopsis, kind, window), so a

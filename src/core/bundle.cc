@@ -1,5 +1,6 @@
 #include "core/bundle.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -13,6 +14,12 @@ ConstraintBundle::ConstraintBundle(const searchlight::QuerySpec& query) {
                   "query constraint lacks a function factory");
     constraints_.push_back(std::make_unique<cp::RangeConstraint>(
         qc.make_function(), qc.bounds));
+    cp::ConstraintFunction& fn = constraints_.back()->function();
+    const bool shared = std::any_of(
+        memo_owners_.begin(), memo_owners_.end(), [&](size_t owner) {
+          return fn.ShareMemoWith(constraints_[owner]->function());
+        });
+    if (!shared) memo_owners_.push_back(constraints_.size() - 1);
   }
 }
 
@@ -34,10 +41,10 @@ void ConstraintBundle::CompleteEstimates(FailRecord* fail) {
 
 std::vector<std::unique_ptr<cp::FunctionState>> ConstraintBundle::SaveStates(
     const cp::DomainBox& box) const {
-  std::vector<std::unique_ptr<cp::FunctionState>> states;
-  states.reserve(constraints_.size());
-  for (const auto& c : constraints_) {
-    states.push_back(c->function().SaveState(box));
+  std::vector<std::unique_ptr<cp::FunctionState>> states(
+      constraints_.size());
+  for (const size_t c : memo_owners_) {
+    states[c] = constraints_[c]->function().SaveState(box);
   }
   return states;
 }
@@ -45,7 +52,7 @@ std::vector<std::unique_ptr<cp::FunctionState>> ConstraintBundle::SaveStates(
 void ConstraintBundle::RestoreStates(const FailRecord& fail) {
   if (fail.states.empty()) return;
   DQR_CHECK(fail.states.size() == constraints_.size());
-  for (size_t c = 0; c < constraints_.size(); ++c) {
+  for (const size_t c : memo_owners_) {
     if (fail.states[c] != nullptr) {
       constraints_[c]->function().RestoreState(*fail.states[c]);
     }
@@ -53,7 +60,9 @@ void ConstraintBundle::RestoreStates(const FailRecord& fail) {
 }
 
 void ConstraintBundle::ClearStates() {
-  for (const auto& c : constraints_) c->function().ClearState();
+  for (const size_t c : memo_owners_) {
+    constraints_[c]->function().ClearState();
+  }
 }
 
 void ConstraintBundle::ResetEffectiveBounds() {
@@ -62,7 +71,9 @@ void ConstraintBundle::ResetEffectiveBounds() {
 
 cp::FunctionMemoStats ConstraintBundle::MemoStats() const {
   cp::FunctionMemoStats total;
-  for (const auto& c : constraints_) total += c->function().memo_stats();
+  for (const size_t c : memo_owners_) {
+    total += constraints_[c]->function().memo_stats();
+  }
   return total;
 }
 

@@ -14,7 +14,10 @@ namespace dqr::core {
 // One thread's working set of RangeConstraints, instantiated from a
 // QuerySpec's function factories. Each solver, validator, and speculative
 // solver owns its own bundle; bundles share only the immutable array and
-// synopsis underneath.
+// synopsis underneath. Within a bundle, functions that read the same
+// synopsis share one bounds memo (cp::ConstraintFunction::ShareMemoWith):
+// the first such function owns it, and the state hooks below act once per
+// memo, through its owner.
 class ConstraintBundle {
  public:
   explicit ConstraintBundle(const searchlight::QuerySpec& query);
@@ -27,14 +30,16 @@ class ConstraintBundle {
   // place (the deferred half of §4.2's lazy fail evaluation).
   void CompleteEstimates(FailRecord* fail);
 
-  // Snapshots every constraint function's reusable state for the box;
-  // entries may be null for stateless functions.
+  // Snapshots every memo's reusable state for the box, one entry per
+  // constraint: states[c] is the snapshot of the memo constraint c owns,
+  // and null when it owns none or the memo is empty.
   std::vector<std::unique_ptr<cp::FunctionState>> SaveStates(
       const cp::DomainBox& box) const;
 
-  // Clears per-search state on all functions, then re-seeds it from the
-  // fail's saved snapshots (no-op entries skipped).
+  // Re-seeds each memo from the fail's saved snapshots (null entries
+  // skipped); callers ClearStates first.
   void RestoreStates(const FailRecord& fail);
+  // Drops every memo's per-search state.
   void ClearStates();
 
   // Restores every constraint's effective bounds to the originals.
@@ -51,12 +56,14 @@ class ConstraintBundle {
   std::vector<std::vector<double>> EvaluateAllBatch(
       const std::vector<const std::vector<int64_t>*>& points);
 
-  // Sum of every constraint function's memo-cache counters; folded into
+  // Sum of every memo's counters, each memo counted once; folded into
   // the owning thread's RunStats when the bundle retires.
   cp::FunctionMemoStats MemoStats() const;
 
  private:
   std::vector<std::unique_ptr<cp::RangeConstraint>> constraints_;
+  // Index of the constraint owning each memo, ascending.
+  std::vector<size_t> memo_owners_;
 };
 
 }  // namespace dqr::core

@@ -45,10 +45,11 @@ namespace dqr::core {
 //  * instances_lost / shards_requeued / replays_reclaimed /
 //    candidates_revalidated are the failure-recovery audit counters; all
 //    zero on a fault-free run.
-//  * estimator_cache_*: BoundsCache behaviour of the UDFs this thread
-//    ran — hit/miss mix of synopsis lookups, Insert-path evictions, and
-//    cold entries displaced so restored fail-state snapshots always land
-//    (§4.2).
+//  * estimator_cache_*: behaviour of the bounds memos (BoundsCache) of
+//    this thread's bundles — one memo per synopsis, shared by every
+//    function reading it and counted once: hit/miss mix of synopsis
+//    lookups, Insert-path evictions, and cold entries displaced so
+//    restored fail-state snapshots always land (§4.2).
 #define DQR_RUN_STATS_FIELDS(X)                                              \
   X(double, total_s, 0.0, QUERY,                                             \
     "Wall-clock seconds for the whole query")                                \
@@ -111,8 +112,10 @@ namespace dqr::core {
     "Leased replay fails of dead instances reclaimed")                       \
   X(int64_t, candidates_revalidated, 0, SUM,                                 \
     "Orphaned candidates re-validated by a survivor")                        \
-  X(int64_t, estimator_cache_hits, 0, SUM, "BoundsCache hits")               \
-  X(int64_t, estimator_cache_misses, 0, SUM, "BoundsCache misses")           \
+  X(int64_t, estimator_cache_hits, 0, SUM,                                   \
+    "BoundsCache hits, one memo per solver and synopsis")                    \
+  X(int64_t, estimator_cache_misses, 0, SUM,                                 \
+    "BoundsCache misses: bounds derived, once per memo")                     \
   X(int64_t, estimator_cache_evictions, 0, SUM,                              \
     "BoundsCache Insert-path evictions")                                     \
   X(int64_t, estimator_cache_restore_evictions, 0, SUM,                      \

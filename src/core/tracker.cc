@@ -130,6 +130,7 @@ void ResultTracker::MaybeStartConstraining() {
   if (exact_count_ < k_) return;
 
   phase_ = QueryPhase::kConstraining;
+  phase_mirror_.store(phase_, std::memory_order_release);
   // Seed the constraining structures with the exact results found so far.
   for (Solution& s : exact_all_) {
     if (mode_ == ConstrainMode::kSkyline) {
@@ -154,8 +155,7 @@ void ResultTracker::MaybeStartConstraining() {
 }
 
 QueryPhase ResultTracker::phase() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return phase_;
+  return phase_mirror_.load(std::memory_order_acquire);
 }
 
 double ResultTracker::Mrp() const {

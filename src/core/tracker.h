@@ -1,6 +1,7 @@
 #ifndef DQR_CORE_TRACKER_H_
 #define DQR_CORE_TRACKER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <set>
@@ -65,6 +66,8 @@ class ResultTracker {
   // Offers a validated solution (rp/rk must be filled in by the caller).
   AddOutcome Add(Solution solution);
 
+  // Lock-free: engines read the phase on every search node, fail and
+  // candidate, while validators hold the tracker lock in Add.
   QueryPhase phase() const;
   // Maximum Relaxation Penalty: the worst RP a solution may have and
   // still enter the current top-k; 1.0 while fewer than k are tracked.
@@ -120,6 +123,10 @@ class ResultTracker {
 
   mutable std::mutex mu_;
   QueryPhase phase_ = QueryPhase::kCollecting;
+  // Mirror of phase_ for phase(): stored (release) under mu_ at the one
+  // flip, so a read is still linearizable. phase_ stays the tracker's own
+  // locked copy.
+  std::atomic<QueryPhase> phase_mirror_{QueryPhase::kCollecting};
   std::set<std::vector<int64_t>> seen_;
   // Best-k by RP; exact results have rp == 0.
   std::set<Solution, ByPenalty> relax_top_;

@@ -11,11 +11,13 @@
 
 namespace dqr::cp {
 
-// Opaque, serializable computation state of a constraint function — the
-// vehicle for the paper's "saving function states at fails" optimization
-// (§4.2): e.g. the Max UDF's memoized window bounds with their support
-// coordinates. Saved when a fail is recorded, restored before the fail is
-// replayed, so the replayed search avoids recomputing estimates.
+// Opaque, serializable computation state of a constraint function's memo —
+// the vehicle for the paper's "saving function states at fails"
+// optimization (§4.2): e.g. the memoized window bounds, with their support
+// coordinates, that the failed node's check derived. Saved when a fail is
+// recorded, restored before the fail is replayed, so the replayed search
+// avoids recomputing estimates. Functions that share one memo (see
+// ConstraintFunction::ShareMemoWith) share one snapshot.
 class FunctionState {
  public:
   virtual ~FunctionState() = default;
@@ -30,8 +32,9 @@ class FunctionState {
 };
 
 // Counters for a constraint function's internal memo cache (e.g. the
-// searchlight BoundsCache). Folded into RunStats per solver/validator
-// thread so runs expose estimator-cache behaviour — in particular how
+// searchlight BoundsCache); functions sharing one memo share its
+// counters. Folded into RunStats per solver/validator thread, once per
+// memo, so runs expose estimator-cache behaviour — in particular how
 // often eviction had to make room during a snapshot Restore, the case the
 // paper's §4.2 state-saving depends on never silently dropping.
 struct FunctionMemoStats {
@@ -65,8 +68,9 @@ struct FunctionMemoStats {
 // layer only needs this contract.
 //
 // Concurrency: one instance is owned by one solver or validator thread;
-// instances are never shared. Clone() produces an independent copy for
-// another thread.
+// instances are never shared across threads, and functions that share a
+// memo belong to one thread's bundle. Clone() produces an independent
+// copy, with a memo of its own, for another thread.
 class ConstraintFunction {
  public:
   virtual ~ConstraintFunction() = default;
@@ -113,19 +117,34 @@ class ConstraintFunction {
   virtual std::unique_ptr<ConstraintFunction> Clone() const = 0;
 
   // --- Optional UDF-state hooks (§4.2 "Saving function states") -------
+  //
+  // The state these hooks act on is the function's memo. Functions that
+  // share a memo share its state, so the hooks below act on the memo as a
+  // whole: call them on one of its functions only (ConstraintBundle calls
+  // them on each memo's first function).
+
+  // Makes this function read and write `other`'s memo from now on, when
+  // both would derive identical memo entries (e.g. bounds over the same
+  // synopsis under the same miss cost), so a value either of them needs
+  // is derived once. Returns whether it did; the default keeps no memo
+  // and declines. Called on a fresh function, before its first estimate.
+  virtual bool ShareMemoWith(ConstraintFunction& other) {
+    (void)other;
+    return false;
+  }
 
   // Snapshot of the reusable computation state relevant to `box` (e.g.
-  // memoized window bounds with support coordinates inside the box's
-  // span); nullptr if the function keeps none (the default). Saved when a
-  // fail at `box` is recorded.
+  // the memoized window bounds, with support coordinates, that the check
+  // of `box` derived); nullptr if the function keeps none (the default).
+  // Saved when a fail at `box` is recorded.
   virtual std::unique_ptr<FunctionState> SaveState(
       const DomainBox& box) const {
     (void)box;
     return nullptr;
   }
 
-  // Merges a previously saved snapshot back into the live function;
-  // called just before the corresponding fail is replayed.
+  // Merges a previously saved snapshot back into the live memo; called
+  // just before the corresponding fail is replayed.
   virtual void RestoreState(const FunctionState& state) { (void)state; }
 
   // Drops any per-search computation state. The engine calls this between
@@ -133,8 +152,8 @@ class ConstraintFunction {
   // of the modelled system; RestoreState then selectively re-seeds it.
   virtual void ClearState() {}
 
-  // Cumulative memo-cache counters since construction; zeroes for
-  // functions without a cache (the default).
+  // Cumulative counters of the function's memo since construction;
+  // zeroes for functions without one (the default).
   virtual FunctionMemoStats memo_stats() const { return {}; }
 };
 

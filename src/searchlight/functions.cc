@@ -159,12 +159,12 @@ class BoundsCache::Snapshot : public cp::FunctionState {
 };
 
 void BoundsCache::Touch(const Key& key) {
-  if (recent_.size() < kRecentCapacity) {
+  if (recent_.size() < recent_capacity_) {
     recent_.push_back(key);
     return;
   }
   recent_[recent_next_] = key;
-  recent_next_ = (recent_next_ + 1) % kRecentCapacity;
+  recent_next_ = (recent_next_ + 1) % recent_capacity_;
 }
 
 bool BoundsCache::IsRecent(const Key& key) const {
@@ -281,36 +281,57 @@ void BoundsCache::Clear() {
 // RegionFunction
 
 template <int D>
-RegionFunction<D>::RegionFunction(Context ctx) : ctx_(std::move(ctx)) {
+RegionFunction<D>::RegionFunction(Context ctx)
+    : ctx_(std::move(ctx)), memo_(std::make_shared<BoundsCache>()) {
   DQR_CHECK(ctx_.synopsis != nullptr);
   shape_ = Adapter<D>::Shape(ctx_);
   value_range_ = ctx_.value_range.empty()
                      ? ctx_.synopsis->global_value_range()
                      : ctx_.value_range;
   if (ctx_.shared_memo != nullptr) {
-    cache_.AttachShared(ctx_.shared_memo, ctx_.shared_memo_key);
+    memo_->AttachShared(ctx_.shared_memo, ctx_.shared_memo_key);
   }
+}
+
+template <int D>
+bool RegionFunction<D>::ShareMemoWith(cp::ConstraintFunction& other) {
+  auto* owner = dynamic_cast<RegionFunction<D>*>(&other);
+  if (owner == nullptr || owner->memo_ == memo_) return false;
+  const Context& o = owner->ctx_;
+  // The miss cost must match too: a bound's cost is charged by whichever
+  // function derives it first.
+  if (o.synopsis != ctx_.synopsis ||
+      o.estimate_cost_ns != ctx_.estimate_cost_ns ||
+      o.cost_is_latency != ctx_.cost_is_latency ||
+      o.shared_memo != ctx_.shared_memo ||
+      o.shared_memo_key != ctx_.shared_memo_key) {
+    return false;
+  }
+  owner->memo_->AddReader();
+  memo_ = owner->memo_;
+  return true;
 }
 
 template <int D>
 std::unique_ptr<cp::FunctionState> RegionFunction<D>::SaveState(
     const cp::DomainBox& box) const {
   // The recently touched entries are exactly the region bounds the failed
-  // node's estimate derived (the search checks constraints on `box` right
-  // before a fail is recorded), so no box-based filtering is needed.
+  // node's check derived (the search checks constraints on `box` right
+  // before a fail is recorded, and the ring holds every key one check of
+  // all the memo's readers touches), so no box-based filtering is needed.
   (void)box;
-  if (cache_.size() == 0) return nullptr;
-  return cache_.SaveRecent();
+  if (memo_->size() == 0) return nullptr;
+  return memo_->SaveRecent();
 }
 
 template <int D>
 void RegionFunction<D>::RestoreState(const cp::FunctionState& state) {
-  cache_.Restore(state);
+  memo_->Restore(state);
 }
 
 template <int D>
 void RegionFunction<D>::ClearState() {
-  cache_.Clear();
+  memo_->Clear();
 }
 
 template <int D>
@@ -393,7 +414,7 @@ template <int D>
 Interval RegionFunction<D>::Cached(Bound bound, const Region<D>& region) {
   const int kind = Adapter<D>::kKindBase + bound;
   const auto [klo, khi] = Adapter<D>::Key(region);
-  if (const Interval* hit = cache_.Find(kind, klo, khi)) return *hit;
+  if (const Interval* hit = memo_->Find(kind, klo, khi)) return *hit;
   const obs::ScopedSinkTimer bound_timer;
   ChargeMiss();
   const auto& synopsis = *ctx_.synopsis;
@@ -402,7 +423,7 @@ Interval RegionFunction<D>::Cached(Bound bound, const Region<D>& region) {
     if (bound == kMin) return synopsis.MinBounds(c...);
     return synopsis.ValueBounds(c...);
   });
-  cache_.Insert(kind, klo, khi, result);
+  memo_->Insert(kind, klo, khi, result);
   return result;
 }
 

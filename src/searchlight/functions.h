@@ -23,12 +23,15 @@ class SharedBoundsMemo;
 
 namespace dqr::searchlight {
 
-// Memoized region-bound lookups shared by the aggregate functions below.
-// Keys are regions packed into (lo, hi) pairs; values are synopsis
-// intervals together with the "support" information that makes
-// re-derivation unnecessary. This is the state captured by the
-// UDF-state-saving optimization (§4.2): fails snapshot the cache, replays
-// restore it and skip recomputation.
+// Memoized synopsis bounds: one memo per solver bundle and synopsis,
+// shared by every region function of the bundle that reads that synopsis
+// (RegionFunction::ShareMemoWith). Keys are (bound kind, region) with the
+// region packed into a (lo, hi) pair; values are synopsis intervals
+// together with the "support" information that makes re-derivation
+// unnecessary. A bound is a pure function of its key, so whichever
+// function asks first derives it and pays its miss cost once. This is the
+// state captured by the UDF-state-saving optimization (§4.2): fails
+// snapshot the memo, replays restore it and skip recomputation.
 //
 // Eviction is second-chance FIFO: when the cache is full, the oldest
 // entry is evicted — unless it sits in the recency ring, in which case it
@@ -41,7 +44,16 @@ class BoundsCache {
   // Saved snapshot of a cache (a cp::FunctionState).
   class Snapshot;
 
+  // The most lookups one Estimate makes: a contrast's two MaxOver calls,
+  // each over two regions.
+  static constexpr size_t kKeysPerEstimate = 4;
+
   explicit BoundsCache(size_t capacity = 4096) : capacity_(capacity) {}
+
+  // Registers one more function reading through this memo. The recency
+  // ring holds kKeysPerEstimate keys per reader, so a snapshot covers
+  // every key that one check of all readers touched.
+  void AddReader() { recent_capacity_ += kKeysPerEstimate; }
 
   // Attaches the process-wide cross-query memo as an L2 behind this
   // cache: local misses probe it under `space` before recomputing, and
@@ -108,7 +120,7 @@ class BoundsCache {
   std::deque<Key> fifo_;
   // Ring of recently touched keys; bounds the cost and size of per-fail
   // state snapshots and marks the entries eviction must protect.
-  static constexpr size_t kRecentCapacity = 6;
+  size_t recent_capacity_ = kKeysPerEstimate;
   std::vector<Key> recent_;
   size_t recent_next_ = 0;
   cp::FunctionMemoStats stats_;
@@ -147,7 +159,7 @@ struct RegionFunctionContext : RegionData<D> {
   // cost in the paper's SciDB deployment) — sleeping threads overlap, so
   // scheduling quality shows up in wall clock even on few cores.
   bool cost_is_latency = false;
-  // Optional cross-query shared bounds memo (L2 behind the per-function
+  // Optional cross-query shared bounds memo (L2 behind the solver's
   // BoundsCache); see cache/bounds_memo.h. The key must identify the
   // (dataset, synopsis configuration, epoch) these bounds are valid for.
   // Null disables sharing. Clones inherit the attachment.
@@ -174,7 +186,8 @@ struct Region {
 };
 
 // Base class of the region aggregates: geometry, memoized synopsis
-// lookups and fail-time state snapshots. A region has an origin and an
+// lookups (through a BoundsCache it may share with the other functions of
+// its bundle) and fail-time state snapshots. A region has an origin and an
 // extent per axis, read from the decision variables in a fixed order:
 // origins first, then extents. 1-D windows [x, x + lx) are (x, lx); 2-D
 // rectangles rows [y, y + h) x cols [x, x + w) are (y, x, h, w). The
@@ -194,13 +207,17 @@ class RegionFunction : public cp::ConstraintFunction {
   // — the profiler's per-level accuracy attribution.
   int EstimateLevel(const std::vector<int64_t>& point) const override;
 
+  // Shares `other`'s memo when it is a region function of the same
+  // dimension over the same synopsis, with the same miss cost and L2
+  // attachment: then every bound either derives is identical.
+  bool ShareMemoWith(cp::ConstraintFunction& other) override;
   std::unique_ptr<cp::FunctionState> SaveState(
       const cp::DomainBox& box) const override;
   void RestoreState(const cp::FunctionState& state) override;
   void ClearState() override;
 
   cp::FunctionMemoStats memo_stats() const override {
-    return cache_.stats();
+    return memo_->stats();
   }
 
  protected:
@@ -247,7 +264,8 @@ class RegionFunction : public cp::ConstraintFunction {
   Context ctx_;
   Axes shape_;
   Interval value_range_;
-  BoundsCache cache_;
+  // Own memo, or the one adopted through ShareMemoWith.
+  std::shared_ptr<BoundsCache> memo_;
 };
 
 // avg over the region — the paper's c1-style amplitude constraint.

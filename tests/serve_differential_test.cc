@@ -155,10 +155,15 @@ void RunClients(Server& server, const std::vector<Expected>& expected,
         return;
       }
       for (size_t i = 0; i < expected.size(); ++i) {
-        const std::string id =
-            "c" + std::to_string(t) + "q" + std::to_string(i);
+        // Appended rather than built with `const char* + std::string&&`,
+        // which trips GCC 12's -Wrestrict false positive.
+        const std::string id = std::string("c")
+                                   .append(std::to_string(t))
+                                   .append("q")
+                                   .append(std::to_string(i));
         const std::string dataset =
-            "w" + std::to_string(expected[i].workload.seed);
+            std::string("w").append(
+                std::to_string(expected[i].workload.seed));
         Result<QueryRun> run = client.RunQuery(
             QueryFrameFor(id, dataset, expected[i].workload, false));
         if (!run.ok()) {

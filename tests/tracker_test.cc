@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 namespace dqr::core {
 namespace {
@@ -157,6 +160,46 @@ TEST(ResultTrackerTest, MrpMonotoneUnderRandomInserts) {
     const double now = tracker.Mrp();
     EXPECT_LE(now, last);
     last = now;
+  }
+}
+
+TEST(ResultTrackerTest, ConcurrentPhaseReadsRaceTheFlip) {
+  // Readers poll the lock-free phase while a writer adds the k-th exact
+  // result. Once a reader sees the flip it never sees it undone, and the
+  // constraining state the flip seeds is already visible to it.
+  constexpr int kRounds = 50;
+  constexpr int kReaders = 3;
+  const RankModel rank = SimpleRank();
+  for (int round = 0; round < kRounds; ++round) {
+    ResultTracker tracker(2, ConstrainMode::kRank, &rank);
+    std::atomic<bool> writer_done{false};
+    std::atomic<int> violations{0};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&] {
+        bool seen = false;
+        while (true) {
+          const bool done = writer_done.load(std::memory_order_acquire);
+          const QueryPhase phase = tracker.phase();
+          if (phase == QueryPhase::kConstraining) {
+            seen = true;
+            if (tracker.exact_count() < 2 || std::isinf(tracker.Mrk())) {
+              violations.fetch_add(1);
+            }
+          } else if (seen || done) {
+            // Undone flip, or the writer finished and it stayed hidden.
+            violations.fetch_add(1);
+          }
+          if (done) return;
+        }
+      });
+    }
+    tracker.Add(Sol(1, 0.0, /*rk=*/0.2));
+    tracker.Add(Sol(2, 0.0, /*rk=*/0.5));
+    writer_done.store(true, std::memory_order_release);
+    for (std::thread& t : readers) t.join();
+    EXPECT_EQ(violations.load(), 0) << "round " << round;
+    EXPECT_EQ(tracker.phase(), QueryPhase::kConstraining);
   }
 }
 
