@@ -171,9 +171,9 @@ int main(int argc, char** argv) {
     // Detector on, as deployed: every query also registers its heartbeat
     // and lease-sweep timers on the wheel.
     EngineConfig config;
-    config.num_instances = 4;
-    config.shards_per_instance = 2;
-    config.enable_failure_detector = true;
+    config.knobs.num_instances = 4;
+    config.knobs.shards_per_instance = 2;
+    config.knobs.enable_failure_detector = true;
     configs.push_back(config);
     // The serial baseline: one query at a time, outside any session.
     const auto run = dqr::core::ExecuteQuery(

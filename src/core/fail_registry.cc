@@ -90,6 +90,7 @@ void FailRegistry::Record(FailRecord record, double mrp) {
                                : fifo_.size());
   if (count >= max_fails_) {
     ++dropped_full_;
+    min_dropped_brp_ = std::min(min_dropped_brp_, record.brp);
     return;
   }
   record.seq = next_seq_++;
@@ -219,6 +220,10 @@ int64_t FailRegistry::discarded_at_pop() const {
 int64_t FailRegistry::dropped_full() const {
   std::lock_guard<std::mutex> lock(mu_);
   return dropped_full_;
+}
+double FailRegistry::min_dropped_brp() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return min_dropped_brp_;
 }
 int64_t FailRegistry::peak_size() const {
   std::lock_guard<std::mutex> lock(mu_);

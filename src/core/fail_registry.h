@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -58,8 +59,8 @@ class FailRegistry {
   FailRegistry(ReplayOrder order, int64_t max_fails);
 
   // Stores `record` unless its BRP exceeds `mrp` (discarded) or the
-  // registry is full (the newcomer is dropped and counted — a memory
-  // guard, not expected at normal scale).
+  // registry is full (the newcomer is dropped and counted, whatever its
+  // BRP — a memory guard, not expected at normal scale).
   void Record(FailRecord record, double mrp);
 
   // Removes and returns the next fail whose BRP is still within `mrp`;
@@ -97,6 +98,8 @@ class FailRegistry {
   int64_t discarded_at_record() const;
   int64_t discarded_at_pop() const;
   int64_t dropped_full() const;
+  // Lowest BRP among the dropped fails; +infinity when none was dropped.
+  double min_dropped_brp() const;
   int64_t reclaimed() const;
   int64_t peak_size() const;
   int64_t state_bytes() const;
@@ -136,6 +139,7 @@ class FailRegistry {
   int64_t discarded_at_record_ = 0;
   int64_t discarded_at_pop_ = 0;
   int64_t dropped_full_ = 0;
+  double min_dropped_brp_ = std::numeric_limits<double>::infinity();
   int64_t reclaimed_ = 0;
   int64_t peak_size_ = 0;
   int64_t state_bytes_ = 0;

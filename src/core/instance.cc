@@ -31,6 +31,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Idle back-off of the speculative solver while the validator is busy.
 constexpr auto kSpeculationNap = std::chrono::microseconds(200);
+// The Solver blocks once this many candidates wait for validation.
+constexpr size_t kValidatorQueueCapacity = 1024;
 
 // Folds a thread-local bundle's memo-cache counters into that thread's
 // RunStats when the bundle's scope ends — including the early returns the
@@ -66,7 +68,7 @@ struct InstanceRunner::Impl {
                       ValidatorQueueOrder::kBrpPriority
                   ? CandidateQueue::Order::kPriority
                   : CandidateQueue::Order::kFifo,
-              cfg.options->validator_queue_capacity) {
+              kValidatorQueueCapacity) {
     DQR_CHECK(cfg.query != nullptr && cfg.options != nullptr);
     DQR_CHECK(cfg.penalty != nullptr && cfg.rank != nullptr);
     DQR_CHECK(cfg.coordinator != nullptr && cfg.registry != nullptr);

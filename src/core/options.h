@@ -81,6 +81,8 @@ struct ProgressEvent {
 // All knobs of the dynamic refinement framework. The defaults mirror the
 // paper's defaults (alpha = 0.5, RRD = 1.0 i.e. no partial relaxation,
 // lazy fail evaluation, UDF state saving on, BRP-sorted validator queue).
+// The knobs settable from a QUERY frame or a fuzz config have their key
+// and domain in one table, DQR_ENGINE_KNOBS (core/knobs.h).
 struct RefineOptions {
   // Master switch; false reproduces plain Searchlight (the manual
   // baseline): no fail tracking, no dynamic constraints, all exact
@@ -101,8 +103,10 @@ struct RefineOptions {
   // progress and the validators are idle (§4.2).
   bool speculative = false;
   ReplayOrder replay_order = ReplayOrder::kBestFirst;
-  // Memory guard: the registry holds at most this many fails; the worst
-  // (highest-BRP) records are dropped first when the cap is exceeded.
+  // Memory guard: the registry holds at most this many fails; once it is
+  // full every newly recorded fail is dropped, whatever its BRP. If a
+  // dropped fail's BRP is within the final MRP it may have held a better
+  // relaxation, so the run reports completed = false.
   int64_t max_recorded_fails = 1 << 20;
 
   // --- constraining (§3.2, §4.3) ---
@@ -121,7 +125,8 @@ struct RefineOptions {
   // Applies to relaxation top-k and rank top-k (not skyline / plain
   // output). Selection is made from an oversampled pool of
   // diversity_pool_factor * k tracked results, so the filter is
-  // best-effort: raise the factor for stronger separation.
+  // best-effort: raise the factor for stronger separation. The factor
+  // lies in [1, 2^20], and the pool of factor * k must fit in int64.
   std::vector<int64_t> result_spacing;
   int64_t diversity_pool_factor = 8;
 
@@ -168,8 +173,9 @@ struct RefineOptions {
   std::function<void(const ProgressEvent&)> on_progress;
 
   // --- engine / cluster ---
-  // Simulated Searchlight instances; the search space is partitioned on
-  // variable 0 and each instance runs its own solver + validator loops.
+  // Simulated Searchlight instances, 1 to 64; the search space is
+  // partitioned on variable 0 and each instance runs its own solver +
+  // validator loops.
   int num_instances = 1;
   // Morsel-style work stealing: variable 0 is split into roughly
   // shards_per_instance * num_instances contiguous shards pushed into a
@@ -181,9 +187,8 @@ struct RefineOptions {
   // DESIGN.md §3).
   int shards_per_instance = 8;
   ValidatorQueueOrder validator_queue = ValidatorQueueOrder::kBrpPriority;
-  size_t validator_queue_capacity = 1024;
   // Simulated broadcast latency for MRP/MRK updates between instances, in
-  // microseconds; 0 = immediate (single-node behaviour).
+  // microseconds, at most 10^6; 0 = immediate (single-node behaviour).
   int64_t broadcast_delay_us = 0;
   // Wall-clock budget in seconds; 0 = unlimited. When exceeded the query
   // is cancelled and the partial result returned with completed = false

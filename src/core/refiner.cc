@@ -1,8 +1,8 @@
 #include "core/refiner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <set>
 #include <utility>
@@ -12,6 +12,7 @@
 #include "core/fail_registry.h"
 #include "core/fault.h"
 #include "core/instance.h"
+#include "core/knobs.h"
 #include "core/model_builders.h"
 #include "core/penalty.h"
 #include "core/rank.h"
@@ -55,10 +56,16 @@ class DetectorSweep {
         timeout_ns_(timeout_us * 1000) {}
 
   void Tick() {
-    const int64_t now =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count();
+    // Beats are aged against the freshest live beat, not the clock: one
+    // timer beats every live instance, so a stalled wheel (a descheduled
+    // or CPU-throttled process) leaves all beats equally old instead of
+    // getting every instance, survivors included, declared dead.
+    int64_t freshest = std::numeric_limits<int64_t>::min();
+    for (int i = 0; i < coordinator_->num_instances(); ++i) {
+      if (coordinator_->IsMonitorable(i)) {
+        freshest = std::max(freshest, coordinator_->LastHeartbeatNs(i));
+      }
+    }
     bool changed = false;
     for (int i = 0; i < coordinator_->num_instances(); ++i) {
       if (dead_.count(i) != 0) {
@@ -72,7 +79,9 @@ class DetectorSweep {
         continue;
       }
       if (!coordinator_->IsMonitorable(i)) continue;
-      if (now - coordinator_->LastHeartbeatNs(i) < timeout_ns_) continue;
+      if (freshest - coordinator_->LastHeartbeatNs(i) < timeout_ns_) {
+        continue;
+      }
       dead_.insert(i);
       tracer_.Instant(obs::EventName::kInstanceDead,
                       static_cast<double>(i));
@@ -132,33 +141,16 @@ Status ValidateInputs(const searchlight::QuerySpec& query,
       return InvalidArgumentError("relax weight must lie in [0, 1]");
     }
   }
-  if (!(options.alpha >= 0.0 && options.alpha <= 1.0)) {
-    return InvalidArgumentError("alpha must lie in [0, 1]");
-  }
-  if (!(options.replay_relaxation_distance > 0.0 &&
-        options.replay_relaxation_distance <= 1.0)) {
-    return InvalidArgumentError("RRD must lie in (0, 1]");
-  }
-  if (options.num_instances < 1) {
-    return InvalidArgumentError("need at least one instance");
-  }
-  if (options.shards_per_instance < 1) {
-    return InvalidArgumentError("shards_per_instance must be >= 1");
+  if (Status status = CheckKnobs(options, query.k); !status.ok()) {
+    return status;
   }
   if (options.max_recorded_fails <= 0) {
     return InvalidArgumentError("max_recorded_fails must be positive");
   }
-  if (!options.result_spacing.empty()) {
-    if (options.result_spacing.size() != query.domains.size()) {
-      return InvalidArgumentError(
-          "result_spacing must have one entry per decision variable");
-    }
-    for (const int64_t s : options.result_spacing) {
-      if (s < 0) return InvalidArgumentError("spacing must be >= 0");
-    }
-    if (options.diversity_pool_factor < 1) {
-      return InvalidArgumentError("diversity_pool_factor must be >= 1");
-    }
+  if (!options.result_spacing.empty() &&
+      options.result_spacing.size() != query.domains.size()) {
+    return InvalidArgumentError(
+        "result_spacing must have one entry per decision variable");
   }
   if (options.trace != nullptr && options.trace_buffer_events <= 0) {
     return InvalidArgumentError("trace_buffer_events must be positive");
@@ -448,8 +440,12 @@ Result<RunResult> ExecuteQuery(const searchlight::QuerySpec& query,
   result.stats.peak_fail_count = registry.peak_size();
   result.stats.max_peak_fail_bytes = registry.peak_state_bytes();
   result.stats.max_peak_fail_count = registry.peak_size();
-  result.stats.completed =
-      result.stats.completed && !coordinator.cancelled();
+  // A fail the cap dropped may hold a relaxation within the final MRP,
+  // one the answer would then be missing.
+  result.stats.completed = result.stats.completed &&
+                           !coordinator.cancelled() &&
+                           registry.min_dropped_brp() >
+                               coordinator.tracker().Mrp();
   result.stats.query_latency.RecordSeconds(result.stats.total_s);
   if (options.profile != nullptr) {
     options.profile->Assemble(*options.trace, trace_epoch, result.stats);

@@ -155,7 +155,8 @@ namespace dqr::core {
     "Predicted-vs-actual bound tightness per synopsis level; "               \
     "profiled runs only")                                                    \
   X(bool, completed, true, AND,                                              \
-    "False iff the run was cancelled (time budget / external cancel)")
+    "False iff the run was cancelled or the fail cap dropped a fail "       \
+    "within the final MRP")
 
 // Per-field merge operations, selected by the AGG tag.
 #define DQR_STATS_AGG_SUM(name) name += o.name;

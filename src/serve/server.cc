@@ -15,6 +15,7 @@
 
 #include "common/logging.h"
 #include "core/canonical.h"
+#include "core/knobs.h"
 #include "data/query_parser.h"
 #include "obs/export_chrome.h"
 #include "obs/histogram.h"
@@ -66,8 +67,9 @@ std::string FunctionId(const data::ParsedConstraint& c) {
   return id;
 }
 
-// Builds RefineOptions from a QUERY frame's attributes. Unknown
-// attributes are rejected, so a typo cannot silently run with defaults.
+// Builds RefineOptions from a QUERY frame's attributes: the QUERY rows of
+// core/knobs.h's table plus the serve-level flags. Unknown attributes are
+// rejected, so a typo cannot silently run with defaults.
 Status OptionsFromFrame(const Frame& frame, core::RefineOptions* opts,
                         bool* cached, bool* want_trace,
                         bool* want_profile) {
@@ -76,106 +78,12 @@ Status OptionsFromFrame(const Frame& frame, core::RefineOptions* opts,
   *want_profile = false;
   for (const auto& [key, value] : frame.attrs) {
     if (key == "id" || key == "dataset") continue;
-    if (key == "cached") {
-      *cached = value == "1";
-    } else if (key == "trace") {
-      *want_trace = value == "1";
-    } else if (key == "profile") {
-      *want_profile = value == "1";
-    } else if (key == "alpha") {
-      auto v = frame.GetDouble(key, opts->alpha);
-      if (!v.ok()) return v.status();
-      if (!(v.value() >= 0.0 && v.value() <= 1.0)) {
-        return InvalidArgumentError("QUERY alpha must lie in [0, 1]");
-      }
-      opts->alpha = v.value();
-    } else if (key == "constrain") {
-      if (value == "none") {
-        opts->constrain = core::ConstrainMode::kNone;
-      } else if (value == "rank") {
-        opts->constrain = core::ConstrainMode::kRank;
-      } else if (value == "skyline") {
-        opts->constrain = core::ConstrainMode::kSkyline;
-      } else {
-        return InvalidArgumentError(
-            "QUERY constrain must be none|rank|skyline, got '" + value +
-            "'");
-      }
-    } else if (key == "spacing") {
-      // Comma-separated per-variable spacing, e.g. spacing=64,0.
-      opts->result_spacing.clear();
-      size_t pos = 0;
-      while (pos <= value.size()) {
-        size_t comma = value.find(',', pos);
-        if (comma == std::string::npos) comma = value.size();
-        const std::string tok = value.substr(pos, comma - pos);
-        char* end = nullptr;
-        const long long s = std::strtoll(tok.c_str(), &end, 10);
-        if (tok.empty() || end == tok.c_str() || *end != '\0' || s < 0) {
-          return InvalidArgumentError(
-              "QUERY spacing must be comma-separated non-negative "
-              "integers, got '" +
-              value + "'");
-        }
-        opts->result_spacing.push_back(s);
-        if (comma == value.size()) break;
-        pos = comma + 1;
-      }
-    } else if (key == "divpool") {
-      auto v = frame.GetInt(key, opts->diversity_pool_factor);
-      if (!v.ok()) return v.status();
-      if (v.value() < 1) {
-        return InvalidArgumentError("QUERY divpool must be >= 1");
-      }
-      opts->diversity_pool_factor = v.value();
-    } else if (key == "inst") {
-      auto v = frame.GetInt(key, opts->num_instances);
-      if (!v.ok()) return v.status();
-      if (v.value() < 1 || v.value() > 64) {
-        return InvalidArgumentError("QUERY inst must lie in [1, 64]");
-      }
-      opts->num_instances = static_cast<int>(v.value());
-    } else if (key == "shards") {
-      auto v = frame.GetInt(key, opts->shards_per_instance);
-      if (!v.ok()) return v.status();
-      if (v.value() < 1) {
-        return InvalidArgumentError("QUERY shards must be >= 1");
-      }
-      opts->shards_per_instance = static_cast<int>(v.value());
-    } else if (key == "eval") {
-      if (value != "lazy" && value != "full") {
-        return InvalidArgumentError("QUERY eval must be lazy|full");
-      }
-      opts->fail_eval = value == "lazy" ? core::FailEvalMode::kLazy
-                                        : core::FailEvalMode::kFull;
-    } else if (key == "spec") {
-      opts->speculative = value == "1";
-    } else if (key == "state") {
-      opts->save_function_state = value == "1";
-    } else if (key == "rrd") {
-      auto v = frame.GetDouble(key, opts->replay_relaxation_distance);
-      if (!v.ok()) return v.status();
-      if (!(v.value() > 0.0 && v.value() <= 1.0)) {
-        return InvalidArgumentError("QUERY rrd must lie in (0, 1]");
-      }
-      opts->replay_relaxation_distance = v.value();
-    } else if (key == "replay") {
-      if (value != "brp" && value != "fifo") {
-        return InvalidArgumentError("QUERY replay must be brp|fifo");
-      }
-      opts->replay_order = value == "brp" ? core::ReplayOrder::kBestFirst
-                                          : core::ReplayOrder::kFifo;
-    } else if (key == "vq") {
-      if (value != "brp" && value != "fifo") {
-        return InvalidArgumentError("QUERY vq must be brp|fifo");
-      }
-      opts->validator_queue = value == "brp"
-                                  ? core::ValidatorQueueOrder::kBrpPriority
-                                  : core::ValidatorQueueOrder::kFifo;
-    } else {
-      return InvalidArgumentError("QUERY has unknown attribute '" + key +
-                                  "'");
-    }
+    const Status st =
+        key == "cached"    ? core::ParseKnobFlag(key, value, cached)
+        : key == "trace"   ? core::ParseKnobFlag(key, value, want_trace)
+        : key == "profile" ? core::ParseKnobFlag(key, value, want_profile)
+                           : core::SetKnob(key, value, core::kQueryKnob, opts);
+    if (!st.ok()) return InvalidArgumentError("QUERY " + st.message());
   }
   return Status::Ok();
 }

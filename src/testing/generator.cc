@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <utility>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "core/knobs.h"
 #include "data/query_parser.h"
 #include "searchlight/functions.h"
 
@@ -715,31 +717,37 @@ Workload MakeWorkload(uint64_t seed, FuzzMode mode,
 }
 
 std::string EngineConfig::ToString() const {
+  // Knobs shared with QUERY frames, then the fuzz-only keys, then the
+  // knobs only the fuzzer sets. Those last were added after reproducer
+  // lines existed and are written only when set, so a line for a config
+  // that leaves them at their defaults reads exactly as it always has.
   std::string out;
-  AppendKv(&out, "inst", std::to_string(num_instances));
-  AppendKv(&out, "shards", std::to_string(shards_per_instance));
-  AppendKv(&out, "eval",
-           fail_eval == core::FailEvalMode::kLazy ? "lazy" : "full");
-  AppendKv(&out, "spec", speculative ? "1" : "0");
-  AppendKv(&out, "state", save_function_state ? "1" : "0");
-  AppendKv(&out, "rrd", FormatDouble(rrd));
-  AppendKv(&out, "replay",
-           replay_order == core::ReplayOrder::kBestFirst ? "brp" : "fifo");
-  AppendKv(&out, "vq",
-           validator_queue == core::ValidatorQueueOrder::kBrpPriority
-               ? "brp"
-               : "fifo");
+  for (const core::KnobText& k : core::FormatKnobs(knobs)) {
+    if (k.surfaces == (core::kQueryKnob | core::kConfigKnob)) {
+      AppendKv(&out, k.key, k.value);
+    }
+  }
   AppendKv(&out, "crashes", std::to_string(fault_crashes));
-  AppendKv(&out, "det", enable_failure_detector ? "1" : "0");
+  AppendKv(&out, "det", knobs.enable_failure_detector ? "1" : "0");
   AppendKv(&out, "trace", trace ? "1" : "0");
   AppendKv(&out, "simd", simd ? "1" : "0");
   AppendKv(&out, "serve", serve ? "1" : "0");
   AppendKv(&out, "profile", profile ? "1" : "0");
+  for (const core::KnobText& k :
+       core::ChangedKnobs(knobs, core::RefineOptions{}, /*query=*/false)) {
+    AppendKv(&out, k.key, k.value);
+  }
   return out;
 }
 
 Result<EngineConfig> EngineConfig::FromString(const std::string& text) {
   EngineConfig config;
+  const std::pair<const char*, bool*> flags[] = {
+      {"det", &config.knobs.enable_failure_detector},
+      {"trace", &config.trace},
+      {"simd", &config.simd},
+      {"serve", &config.serve},
+      {"profile", &config.profile}};
   size_t pos = 0;
   while (pos < text.size()) {
     size_t end = text.find(';', pos);
@@ -754,87 +762,45 @@ Result<EngineConfig> EngineConfig::FromString(const std::string& text) {
     }
     const std::string key = piece.substr(0, eq);
     const std::string value = piece.substr(eq + 1);
-    if (key == "inst") {
-      config.num_instances = std::atoi(value.c_str());
-      if (config.num_instances < 1) {
-        return InvalidArgumentError("config: inst must be >= 1");
-      }
-    } else if (key == "shards") {
-      config.shards_per_instance = std::atoi(value.c_str());
-      if (config.shards_per_instance < 1) {
-        return InvalidArgumentError("config: shards must be >= 1");
-      }
-    } else if (key == "eval") {
-      if (value != "lazy" && value != "full") {
-        return InvalidArgumentError("config: eval must be lazy|full");
-      }
-      config.fail_eval = value == "lazy" ? core::FailEvalMode::kLazy
-                                         : core::FailEvalMode::kFull;
-    } else if (key == "spec") {
-      config.speculative = value == "1";
-    } else if (key == "state") {
-      config.save_function_state = value == "1";
-    } else if (key == "rrd") {
-      config.rrd = std::atof(value.c_str());
-      if (config.rrd <= 0.0 || config.rrd > 1.0) {
-        return InvalidArgumentError("config: rrd must lie in (0, 1]");
-      }
-    } else if (key == "replay") {
-      if (value != "brp" && value != "fifo") {
-        return InvalidArgumentError("config: replay must be brp|fifo");
-      }
-      config.replay_order = value == "brp" ? core::ReplayOrder::kBestFirst
-                                           : core::ReplayOrder::kFifo;
-    } else if (key == "vq") {
-      if (value != "brp" && value != "fifo") {
-        return InvalidArgumentError("config: vq must be brp|fifo");
-      }
-      config.validator_queue =
-          value == "brp" ? core::ValidatorQueueOrder::kBrpPriority
-                         : core::ValidatorQueueOrder::kFifo;
-    } else if (key == "crashes") {
-      config.fault_crashes = std::atoi(value.c_str());
-      if (config.fault_crashes < 0) {
-        return InvalidArgumentError("config: crashes must be >= 0");
-      }
-    } else if (key == "det") {
-      config.enable_failure_detector = value == "1";
-    } else if (key == "trace") {
-      config.trace = value == "1";
-    } else if (key == "simd") {
-      config.simd = value == "1";
-    } else if (key == "serve") {
-      config.serve = value == "1";
-    } else if (key == "profile") {
-      config.profile = value == "1";
-    } else {
-      return InvalidArgumentError("config: unknown key '" + key + "'");
+    bool* flag = nullptr;
+    for (const auto& [flag_key, ptr] : flags) {
+      if (key == flag_key) flag = ptr;
     }
+    Status st;
+    if (flag != nullptr) {
+      st = core::ParseKnobFlag(key, value, flag);
+    } else if (key == "crashes") {
+      int64_t crashes = 0;
+      st = core::ParseKnobInt(key, value, {0, 63}, &crashes);
+      config.fault_crashes = static_cast<int>(crashes);
+    } else {
+      st = core::SetKnob(key, value, core::kConfigKnob, &config.knobs);
+    }
+    if (!st.ok()) return InvalidArgumentError("config: " + st.message());
   }
   return config;
 }
 
 core::RefineOptions EngineConfig::ToOptions(const Workload& workload,
                                             core::FaultPlan* plan) const {
+  // Built from the text ToString writes, so a case runs exactly what its
+  // reproducer line replays.
   core::RefineOptions options;
+  for (const core::KnobText& k : core::FormatKnobs(knobs)) {
+    if ((k.surfaces & core::kConfigKnob) != 0) {
+      DQR_CHECK(core::SetKnob(k.key, k.value, core::kConfigKnob, &options)
+                    .ok());
+    }
+  }
+  options.enable_failure_detector = knobs.enable_failure_detector;
   options.alpha = workload.alpha;
   options.constrain = workload.constrain;
   options.result_spacing = workload.result_spacing;
   options.diversity_pool_factor = workload.diversity_pool_factor;
 
-  options.num_instances = num_instances;
-  options.shards_per_instance = shards_per_instance;
-  options.fail_eval = fail_eval;
-  options.speculative = speculative;
-  options.save_function_state = save_function_state;
-  options.replay_relaxation_distance = rrd;
-  options.replay_order = replay_order;
-  options.validator_queue = validator_queue;
-  options.enable_failure_detector = enable_failure_detector;
-
-  if (fault_crashes > 0 && num_instances > 1 && plan != nullptr) {
+  if (fault_crashes > 0 && options.num_instances > 1 && plan != nullptr) {
     *plan = MakeSurvivorCrashPlan(workload.seed ^ 0xfa57fa57fa57fa57ULL,
-                                  num_instances, fault_crashes);
+                                  options.num_instances, fault_crashes);
     options.fault_plan = plan;
     // Short lease for fast recovery on tiny fuzz problems, long enough
     // that the slot's heartbeat timer cannot plausibly miss it.
@@ -847,9 +813,27 @@ core::RefineOptions EngineConfig::ToOptions(const Workload& workload,
 std::vector<EngineConfig> MakeConfigMatrix(uint64_t seed, int count) {
   count = std::clamp(count, 3, 8);
   Rng rng(seed ^ 0xc0f1c0f1c0f1c0f1ULL);
-  // The profile dimension draws from a decorrelated stream, so adding it
-  // left every pre-existing matrix draw byte-identical.
+  // The profile and search-order dimensions draw from decorrelated
+  // streams, so adding them left every earlier matrix draw byte-identical.
   Rng profile_rng(seed ^ 0x50f11e5050f11e50ULL);
+  Rng search_rng(seed ^ 0x5ea7c4015ea7c401ULL);
+  // Search order and broadcast latency: the heuristics change the
+  // exploration order and the delay when instances see MRP/MRK updates,
+  // never the answer.
+  const auto draw_search = [&search_rng](EngineConfig* c) {
+    const cp::VarSelect var_selects[] = {cp::VarSelect::kFirstUnbound,
+                                         cp::VarSelect::kSmallestDomain};
+    if (search_rng.Bernoulli(0.5)) {
+      c->knobs.var_select = var_selects[search_rng.UniformInt(0, 1)];
+    }
+    if (search_rng.Bernoulli(0.5)) {
+      c->knobs.value_split = cp::ValueSplit::kBisectHighFirst;
+    }
+    const int64_t delays_us[] = {50, 500, 2000};
+    if (search_rng.Bernoulli(0.25)) {
+      c->knobs.broadcast_delay_us = delays_us[search_rng.UniformInt(0, 2)];
+    }
+  };
   std::vector<EngineConfig> configs;
 
   // [0] the sequential baseline: one instance, one shard, paper defaults.
@@ -860,54 +844,63 @@ std::vector<EngineConfig> MakeConfigMatrix(uint64_t seed, int count) {
   // baseline at [0].
   {
     EngineConfig c;
-    c.num_instances = static_cast<int>(rng.UniformInt(2, 4));
-    c.shards_per_instance = static_cast<int>(rng.UniformInt(4, 8));
-    c.speculative = rng.Bernoulli(0.5);
-    c.fail_eval = rng.Bernoulli(0.5) ? core::FailEvalMode::kLazy
-                                     : core::FailEvalMode::kFull;
+    c.knobs.num_instances = static_cast<int>(rng.UniformInt(2, 4));
+    c.knobs.shards_per_instance = static_cast<int>(rng.UniformInt(4, 8));
+    c.knobs.speculative = rng.Bernoulli(0.5);
+    c.knobs.fail_eval = rng.Bernoulli(0.5) ? core::FailEvalMode::kLazy
+                                           : core::FailEvalMode::kFull;
     const double rrd_choices[] = {1.0, 0.5, 0.25};
-    c.rrd = rrd_choices[rng.UniformInt(0, 2)];
-    c.save_function_state = rng.Bernoulli(0.8);
+    c.knobs.replay_relaxation_distance = rrd_choices[rng.UniformInt(0, 2)];
+    c.knobs.save_function_state = rng.Bernoulli(0.8);
     c.simd = false;
     // Always profiled, so every matrix differentials a profiled
     // work-stealing run against the unprofiled baseline at [0].
     c.profile = true;
+    draw_search(&c);
     configs.push_back(c);
   }
 
   // [2] deterministic fault injection under work stealing.
   {
     EngineConfig c;
-    c.num_instances = 3;
-    c.shards_per_instance = 8;
-    c.speculative = rng.Bernoulli(0.3);
+    c.knobs.num_instances = 3;
+    c.knobs.shards_per_instance = 8;
+    c.knobs.speculative = rng.Bernoulli(0.3);
     c.fault_crashes = static_cast<int>(rng.UniformInt(1, 2));
-    c.enable_failure_detector = true;
+    c.knobs.enable_failure_detector = true;
     c.profile = profile_rng.Bernoulli(0.5);
+    draw_search(&c);
     configs.push_back(c);
   }
 
   // [3..] fully random draws.
   for (int i = 3; i < count; ++i) {
     EngineConfig c;
-    c.num_instances = static_cast<int>(rng.UniformInt(1, 4));
-    c.shards_per_instance = static_cast<int>(rng.UniformInt(1, 8));
-    c.speculative = rng.Bernoulli(0.4);
-    c.fail_eval = rng.Bernoulli(0.5) ? core::FailEvalMode::kLazy
-                                     : core::FailEvalMode::kFull;
-    c.rrd = rng.Bernoulli(0.5) ? 1.0 : rng.Uniform(0.2, 1.0);
-    c.save_function_state = rng.Bernoulli(0.8);
-    c.replay_order = rng.Bernoulli(0.8) ? core::ReplayOrder::kBestFirst
-                                        : core::ReplayOrder::kFifo;
-    c.validator_queue = rng.Bernoulli(0.8)
-                            ? core::ValidatorQueueOrder::kBrpPriority
-                            : core::ValidatorQueueOrder::kFifo;
+    c.knobs.num_instances = static_cast<int>(rng.UniformInt(1, 4));
+    c.knobs.shards_per_instance = static_cast<int>(rng.UniformInt(1, 8));
+    c.knobs.speculative = rng.Bernoulli(0.4);
+    c.knobs.fail_eval = rng.Bernoulli(0.5) ? core::FailEvalMode::kLazy
+                                           : core::FailEvalMode::kFull;
+    // Rounded to the six digits reproducer lines print, so a case runs
+    // exactly the value its line replays.
+    c.knobs.replay_relaxation_distance = std::strtod(
+        FormatDouble(rng.Bernoulli(0.5) ? 1.0 : rng.Uniform(0.2, 1.0))
+            .c_str(),
+        nullptr);
+    c.knobs.save_function_state = rng.Bernoulli(0.8);
+    c.knobs.replay_order = rng.Bernoulli(0.8)
+                               ? core::ReplayOrder::kBestFirst
+                               : core::ReplayOrder::kFifo;
+    c.knobs.validator_queue = rng.Bernoulli(0.8)
+                                  ? core::ValidatorQueueOrder::kBrpPriority
+                                  : core::ValidatorQueueOrder::kFifo;
     c.simd = rng.Bernoulli(0.7);
-    if (c.num_instances > 1 && rng.Bernoulli(0.25)) {
+    if (c.knobs.num_instances > 1 && rng.Bernoulli(0.25)) {
       c.fault_crashes = 1;
-      c.enable_failure_detector = true;
+      c.knobs.enable_failure_detector = true;
     }
     c.profile = profile_rng.Bernoulli(0.5);
+    draw_search(&c);
     configs.push_back(c);
   }
   return configs;

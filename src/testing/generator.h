@@ -178,24 +178,24 @@ QuerySession MakeSession(uint64_t seed, FuzzMode mode,
 // workload under several of these and demands byte-identical canonical
 // results, all equal to the oracle.
 struct EngineConfig {
-  int num_instances = 1;
-  int shards_per_instance = 1;
-  core::FailEvalMode fail_eval = core::FailEvalMode::kLazy;
-  bool speculative = false;
-  bool save_function_state = true;
-  double rrd = 1.0;  // replay_relaxation_distance
-  core::ReplayOrder replay_order = core::ReplayOrder::kBestFirst;
-  core::ValidatorQueueOrder validator_queue =
-      core::ValidatorQueueOrder::kBrpPriority;
+  // The engine knobs the config sets: the kConfigKnob rows of the knob
+  // table (core/knobs.h) and enable_failure_detector ("det"). Engine
+  // defaults, except one shard: the 1x1 sequential baseline. No other
+  // field is read: ToOptions builds the run from the config's text.
+  core::RefineOptions knobs = [] {
+    core::RefineOptions o;
+    o.shards_per_instance = 1;
+    return o;
+  }();
   // > 0 plants this many deterministic crash events (derived from the
   // workload seed) on distinct victim instances; instance 0 is never a
   // victim, so the cluster always retains a survivor and the run must
   // still complete with the full, correct result set.
   int fault_crashes = 0;
-  bool enable_failure_detector = false;
-  // Attach a flight recorder to the engine run (DESIGN.md §8). Tracing is
-  // an execution knob like the others: it must never change the answer,
-  // and the differential check proves that per case.
+  // Attach a flight recorder to the engine run (DESIGN.md §8); the
+  // harness owns it, so knobs.trace stays unset. Tracing is an execution
+  // knob like the others: it must never change the answer, and the
+  // differential check proves that per case.
   bool trace = false;
   // Dispatch min/max reductions to the CPU's vector kernels (AVX2/NEON)
   // instead of the scalar folds. The kernels are value-identical by
@@ -218,7 +218,9 @@ struct EngineConfig {
 
   // Compact, parseable "inst=4;shards=8;..." form used by --config= and
   // reproducer lines. FromString accepts exactly what ToString emits
-  // (order-insensitive, unknown keys rejected).
+  // (order-insensitive, unknown keys rejected, absent keys at their
+  // defaults, so older lines without vsel/split/bcast still parse) and
+  // parses every value with the knob table's strict parsers.
   std::string ToString() const;
   static Result<EngineConfig> FromString(const std::string& text);
 

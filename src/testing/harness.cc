@@ -14,6 +14,7 @@
 #include "common/simd.h"
 #include "core/canonical.h"
 #include "core/fault.h"
+#include "core/knobs.h"
 #include "core/refiner.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
@@ -79,54 +80,13 @@ serve::Server& FuzzServer() {
   return *server;
 }
 
-// Builds the QUERY frame that reproduces exactly the RefineOptions
-// EngineConfig::ToOptions would build for this workload — the serve leg
-// must run the same semantics or the differential is vacuous.
-serve::Frame MakeQueryFrame(const std::string& dataset, const Workload& w,
-                            const EngineConfig& config) {
-  serve::Frame q;
-  q.type = serve::frame::kQuery;
-  q.Set("id", "q");
-  q.Set("dataset", dataset);
-  q.Set("alpha", w.alpha);
-  switch (w.constrain) {
-    case core::ConstrainMode::kNone:
-      q.Set("constrain", "none");
-      break;
-    case core::ConstrainMode::kRank:
-      q.Set("constrain", "rank");
-      break;
-    case core::ConstrainMode::kSkyline:
-      q.Set("constrain", "skyline");
-      break;
+// Resets the knobs a QUERY frame cannot carry to the server's defaults.
+void PinToWire(EngineConfig* config) {
+  for (const core::KnobText& k : core::ChangedKnobs(
+           core::RefineOptions{}, config->knobs, /*query=*/false)) {
+    DQR_CHECK(
+        core::SetKnob(k.key, k.value, core::kConfigKnob, &config->knobs).ok());
   }
-  if (!w.result_spacing.empty()) {
-    std::string spacing;
-    for (int64_t s : w.result_spacing) {
-      if (!spacing.empty()) spacing += ',';
-      spacing += std::to_string(s);
-    }
-    q.Set("spacing", spacing);
-    q.Set("divpool", w.diversity_pool_factor);
-  }
-  q.Set("inst", static_cast<int64_t>(config.num_instances));
-  q.Set("shards", static_cast<int64_t>(config.shards_per_instance));
-  q.Set("eval",
-        config.fail_eval == core::FailEvalMode::kLazy ? "lazy" : "full");
-  q.Set("spec", config.speculative ? "1" : "0");
-  q.Set("state", config.save_function_state ? "1" : "0");
-  q.Set("rrd", config.rrd);
-  q.Set("replay",
-        config.replay_order == core::ReplayOrder::kBestFirst ? "brp"
-                                                             : "fifo");
-  q.Set("vq", config.validator_queue ==
-                      core::ValidatorQueueOrder::kBrpPriority
-                  ? "brp"
-                  : "fifo");
-  if (config.trace) q.Set("trace", "1");
-  if (config.profile) q.Set("profile", "1");
-  q.body = w.query_text;
-  return q;
 }
 
 // Runs the engine leg of a case over the loopback server; returns the
@@ -149,7 +109,7 @@ Result<std::string> RunCaseOverServe(const Workload& workload,
   Result<std::string> out = InternalError("unreachable");
   if (st.ok()) {
     Result<serve::QueryRun> run =
-        client.RunQuery(MakeQueryFrame(dataset, workload, config));
+        client.RunQuery(MakeQueryFrame("q", dataset, workload, config));
     if (!run.ok()) {
       out = run.status();
     } else {
@@ -174,6 +134,24 @@ Result<std::string> RunCaseOverServe(const Workload& workload,
 }
 
 }  // namespace
+
+serve::Frame MakeQueryFrame(const std::string& id, const std::string& dataset,
+                            const Workload& workload,
+                            const EngineConfig& config) {
+  serve::Frame q;
+  q.type = serve::frame::kQuery;
+  q.Set("id", id);
+  q.Set("dataset", dataset);
+  for (const core::KnobText& k :
+       core::ChangedKnobs(config.ToOptions(workload, nullptr),
+                          core::RefineOptions{}, /*query=*/true)) {
+    q.Set(k.key, k.value);
+  }
+  if (config.trace) q.Set("trace", "1");
+  if (config.profile) q.Set("profile", "1");
+  q.body = workload.query_text;
+  return q;
+}
 
 Result<InjectedBug> InjectedBugFromName(const std::string& name) {
   if (name == "none") return InjectedBug::kNone;
@@ -204,10 +182,15 @@ CaseResult RunCase(const CaseConfig& c, InjectedBug bug) {
   // The serve dimension replaces the in-process engine leg with a round
   // trip through the loopback server: query_text over the framed
   // protocol, execution in the shared EngineSession, FINAL frame body
-  // back. Grid workloads have no text IR and fault plans are not
-  // expressible over the wire, so those cases run direct regardless.
-  const bool use_serve =
-      c.config.serve && !c.grid && c.config.fault_crashes == 0;
+  // back. Grid workloads have no text IR, and neither fault plans nor
+  // the knobs only the fuzzer sets are expressible over the wire, so
+  // those cases run direct regardless.
+  const bool use_serve = c.config.serve && !c.grid &&
+                         c.config.fault_crashes == 0 &&
+                         core::ChangedKnobs(c.config.knobs,
+                                            core::RefineOptions{},
+                                            /*query=*/false)
+                             .empty();
 
   std::string actual_canon;
   if (use_serve) {
@@ -401,31 +384,32 @@ bool DropProfile(CaseConfig* c) {
 }
 
 bool StripFaults(CaseConfig* c) {
-  if (c->config.fault_crashes == 0 && !c->config.enable_failure_detector) {
-    return false;
-  }
+  bool& det = c->config.knobs.enable_failure_detector;
+  if (c->config.fault_crashes == 0 && !det) return false;
   c->config.fault_crashes = 0;
-  c->config.enable_failure_detector = false;
+  det = false;
   return true;
 }
 
 bool SingleInstance(CaseConfig* c) {
-  if (c->config.num_instances == 1 && c->config.shards_per_instance == 1) {
+  core::RefineOptions& knobs = c->config.knobs;
+  if (knobs.num_instances == 1 && knobs.shards_per_instance == 1) {
     return false;
   }
-  c->config.num_instances = 1;
-  c->config.shards_per_instance = 1;
+  knobs.num_instances = 1;
+  knobs.shards_per_instance = 1;
   c->config.fault_crashes = 0;
-  c->config.enable_failure_detector = false;
+  knobs.enable_failure_detector = false;
   return true;
 }
 
 bool DefaultEngineKnobs(CaseConfig* c) {
   EngineConfig plain;
-  plain.num_instances = c->config.num_instances;
-  plain.shards_per_instance = c->config.shards_per_instance;
+  const core::RefineOptions& knobs = c->config.knobs;
+  plain.knobs.num_instances = knobs.num_instances;
+  plain.knobs.shards_per_instance = knobs.shards_per_instance;
+  plain.knobs.enable_failure_detector = knobs.enable_failure_detector;
   plain.fault_crashes = c->config.fault_crashes;
-  plain.enable_failure_detector = c->config.enable_failure_detector;
   if (plain.ToString() == c->config.ToString()) return false;
   c->config = plain;
   return true;
@@ -666,12 +650,14 @@ FuzzReport RunFuzz(const FuzzOptions& options) {
       // otherwise-identical configs.
       if (options.trace_mix) c.config.trace = ((seed + ci) & 1) != 0;
       if (jobs > 1) c.config.simd = true;
-      // The serve slice: every eligible case goes over the wire. RunCase
+      // The serve slice: every eligible case goes over the wire, with the
+      // knobs a QUERY frame cannot carry pinned to their defaults. RunCase
       // itself falls back to direct execution for grid and fault-plan
       // cases, so gating here only keeps repro lines honest (a line with
       // serve=1 really ran over the transport).
       if (options.serve && !c.grid && c.config.fault_crashes == 0) {
         c.config.serve = true;
+        PinToWire(&c.config);
       }
       run_one(c);
     }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "serve/protocol.h"
 #include "testing/generator.h"
 
 namespace dqr::fuzz {
@@ -83,6 +84,15 @@ CaseResult RunAnyCase(const CaseConfig& c,
 // fixed pass budget. Returns the reduced case (== input if nothing could
 // be removed).
 CaseConfig Shrink(CaseConfig failing, InjectedBug bug = InjectedBug::kNone);
+
+// The QUERY frame that runs `workload` under `config` on a dqr_serve
+// server: every QUERY attribute of the knob table (core/knobs.h) whose
+// value differs from the server's default, trace/profile when set, and
+// the workload's text IR as the body. Knobs the wire cannot carry are
+// left out.
+serve::Frame MakeQueryFrame(const std::string& id, const std::string& dataset,
+                            const Workload& workload,
+                            const EngineConfig& config);
 
 // The one-line reproducer for a case:
 //   dqr_fuzz --seed=92 --mode=relax --config="inst=1;..." [--len-cap=64 ...]

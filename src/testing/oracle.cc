@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/bundle.h"
+#include "core/knobs.h"
 #include "core/model_builders.h"
 #include "core/penalty.h"
 #include "core/rank.h"
@@ -74,6 +75,7 @@ Result<OracleResult> OracleRun(const searchlight::QuerySpec& query,
   if (query.domains.empty()) {
     return InvalidArgumentError("oracle: query has no decision variables");
   }
+  if (Status st = core::CheckKnobs(options, query.k); !st.ok()) return st;
   const int64_t space = cp::BoxCardinality(query.domains);
   if (space <= 0) {
     return InvalidArgumentError("oracle: empty search space");

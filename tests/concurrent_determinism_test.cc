@@ -89,9 +89,9 @@ TEST_P(ConcurrentDeterminismTest, ConcurrentMatchesSerial) {
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     Client client;
     client.workload = MakeWorkload(seed, kModes[seed - 1]);
-    client.config.num_instances = shape.instances;
-    client.config.shards_per_instance = shape.shards;
-    client.config.speculative = seed % 2 == 0;
+    client.config.knobs.num_instances = shape.instances;
+    client.config.knobs.shards_per_instance = shape.shards;
+    client.config.knobs.speculative = seed % 2 == 0;
     client.baseline = SerialCanonical(client.workload, client.config);
     ASSERT_EQ(client.baseline.rfind("error:", 0), std::string::npos)
         << client.workload.summary << ": " << client.baseline;
@@ -139,10 +139,10 @@ TEST(ConcurrentDeterminismTest, CrashingSlotDoesNotLeakIntoNeighbors) {
   {
     Client crash;
     crash.workload = MakeWorkload(11, FuzzMode::kRelax);
-    crash.config.num_instances = 3;
-    crash.config.shards_per_instance = 8;
+    crash.config.knobs.num_instances = 3;
+    crash.config.knobs.shards_per_instance = 8;
     crash.config.fault_crashes = 1;
-    crash.config.enable_failure_detector = true;
+    crash.config.knobs.enable_failure_detector = true;
     clients.push_back(std::move(crash));
   }
   for (uint64_t seed = 12; seed <= 13; ++seed) {
@@ -150,8 +150,8 @@ TEST(ConcurrentDeterminismTest, CrashingSlotDoesNotLeakIntoNeighbors) {
     clean.workload =
         MakeWorkload(seed, seed % 2 == 0 ? FuzzMode::kConstrain
                                          : FuzzMode::kSkyline);
-    clean.config.num_instances = 2;
-    clean.config.shards_per_instance = 4;
+    clean.config.knobs.num_instances = 2;
+    clean.config.knobs.shards_per_instance = 4;
     clients.push_back(std::move(clean));
   }
   for (Client& client : clients) {
@@ -182,8 +182,8 @@ TEST(ConcurrentDeterminismTest, SingleSlotSessionSerializes) {
   for (uint64_t seed = 21; seed <= 23; ++seed) {
     Client client;
     client.workload = MakeWorkload(seed, FuzzMode::kRelax);
-    client.config.num_instances = 2;
-    client.config.shards_per_instance = 4;
+    client.config.knobs.num_instances = 2;
+    client.config.knobs.shards_per_instance = 4;
     client.baseline = SerialCanonical(client.workload, client.config);
     ASSERT_EQ(client.baseline.rfind("error:", 0), std::string::npos)
         << client.workload.summary << ": " << client.baseline;
@@ -215,8 +215,8 @@ TEST(ConcurrentDeterminismTest, SingleSlotSessionSerializes) {
 TEST(ConcurrentDeterminismTest, ConcurrentCachedQueriesShareOneCache) {
   const Workload workload = MakeWorkload(31, FuzzMode::kRelax);
   EngineConfig config;
-  config.num_instances = 2;
-  config.shards_per_instance = 4;
+  config.knobs.num_instances = 2;
+  config.knobs.shards_per_instance = 4;
   const std::string baseline = SerialCanonical(workload, config);
   ASSERT_EQ(baseline.rfind("error:", 0), std::string::npos) << baseline;
 

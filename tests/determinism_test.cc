@@ -31,8 +31,8 @@ std::string RunCanonical(const Workload& workload, const Shape& shape,
                          int64_t trace_ring = 1 << 16,
                          obs::Profile* profile = nullptr) {
   EngineConfig config;
-  config.num_instances = shape.instances;
-  config.shards_per_instance = shape.shards;
+  config.knobs.num_instances = shape.instances;
+  config.knobs.shards_per_instance = shape.shards;
   core::RefineOptions options = config.ToOptions(workload, nullptr);
   options.trace = trace;
   options.trace_buffer_events = trace_ring;
@@ -152,8 +152,8 @@ TEST(DeterminismTest, WarmCacheRunsMatchColdAcrossClusterShapes) {
                       sem.MemoSpace(cold.dataset_id));
       for (size_t i = 0; i < warm.steps.size(); ++i) {
         EngineConfig config;
-        config.num_instances = shape.instances;
-        config.shards_per_instance = shape.shards;
+        config.knobs.num_instances = shape.instances;
+        config.knobs.shards_per_instance = shape.shards;
         const core::RefineOptions options =
             config.ToOptions(warm.steps[i], nullptr);
         cache::CachedQuery cq;

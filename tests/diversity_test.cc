@@ -7,8 +7,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/knobs.h"
 #include "core/refiner.h"
 #include "refiner_test_util.h"
+#include "testing/oracle.h"
 
 namespace dqr::core {
 namespace {
@@ -140,6 +142,43 @@ TEST(DiversityTest, RejectsBadSpacingConfigs) {
   bad_pool.result_spacing = {10, 10};
   bad_pool.diversity_pool_factor = 0;
   EXPECT_FALSE(ExecuteQuery(query, bad_pool).ok());
+}
+
+// k * diversity_pool_factor used to wrap around int64 unchecked: the
+// engine (and the oracle alike) then tracked a nonsense pool and returned
+// a short, wrong top-k. Such a factor is now rejected up front.
+TEST(DiversityTest, PoolFactorThatOverflowsTheKPoolIsRejected) {
+  const auto bundle = MakeSmallBundle();
+  TestQueryParams p;
+  p.contrast_min = 70.0;  // over-constrained: relaxation engages
+  p.k = 4;
+  searchlight::QuerySpec query = MakeTestQuery(bundle, p);
+
+  RefineOptions options;
+  options.result_spacing = {20, 1000};
+  options.diversity_pool_factor = int64_t{1} << 62;  // 4 * 2^62 wraps
+  const auto overflow = ExecuteQuery(query, options);
+  ASSERT_FALSE(overflow.ok()) << overflow.value().results.size()
+                              << " results from a wrapped pool";
+  EXPECT_EQ(overflow.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(overflow.status().message().find("knob 'divpool'"),
+            std::string::npos)
+      << overflow.status().message();
+  EXPECT_FALSE(fuzz::OracleRun(query, options).ok());
+
+  // The largest factor the knob table allows still runs, and matches the
+  // pool-covers-everything reference.
+  options.diversity_pool_factor = kMaxDiversityPoolFactor;
+  const auto run = ExecuteQuery(query, options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const auto expected = GreedyDiverse(BruteForceAll(query, options.alpha),
+                                      options.result_spacing, p.k);
+  EXPECT_EQ(testutil::Points(run.value().results),
+            testutil::Points(expected));
+
+  // Within the factor's domain, a huge k can still overflow the pool.
+  query.k = int64_t{1} << 50;
+  EXPECT_FALSE(ExecuteQuery(query, options).ok());
 }
 
 }  // namespace

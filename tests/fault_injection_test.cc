@@ -7,12 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/canonical.h"
 #include "core/fault.h"
 #include "core/refiner.h"
+#include "exec/timer_wheel.h"
 #include "refiner_test_util.h"
 
 namespace dqr::core {
@@ -194,6 +197,37 @@ TEST_F(FaultInjectionTest, TwoOfThreeCrashedStillCompletes) {
   const auto run = ExecuteQuery(query, SweepOptions(&plan));
   ASSERT_TRUE(run.ok());
   EXPECT_TRUE(run.value().stats.completed);
+  EXPECT_EQ(Fingerprint(run.value().results),
+            Fingerprint(reference.value().results));
+}
+
+// A stalled timer wheel (a descheduled or CPU-throttled process) must not
+// get the survivor declared dead. Here the wheel stalls for 300 ms after
+// its first beat (20 ms) and before its first sweep (30 ms), so the sweep
+// is the first callback to run after the stall. Aged against the clock,
+// every beat then looked 300 ms old, all three instances were declared
+// dead and the run was cancelled; aged against the freshest live beat,
+// only the two crashed instances are.
+TEST_F(FaultInjectionTest, WheelStallDoesNotKillTheSurvivor) {
+  const searchlight::QuerySpec query = RelaxQuery();
+  const auto reference = ExecuteQuery(query, SweepOptions(nullptr));
+  ASSERT_TRUE(reference.ok());
+
+  FaultPlan plan;
+  plan.Crash(1, FaultSite::kShardPickup, 0)
+      .Crash(2, FaultSite::kShardPickup, 0)
+      .Stall(0, FaultSite::kShardPickup, 0, 600000);  // beats throughout
+  exec::TimerWheel wheel;
+  RefineOptions options = SweepOptions(&plan);
+  options.timer_wheel = &wheel;
+  options.heartbeat_interval_us = 20000;  // sweeps every 30 ms
+  wheel.AddOnce(25000, [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  });
+  const auto run = ExecuteQuery(query, options);
+  ASSERT_TRUE(run.ok());
+  EXPECT_TRUE(run.value().stats.completed);
+  EXPECT_EQ(run.value().stats.instances_lost, 2);
   EXPECT_EQ(Fingerprint(run.value().results),
             Fingerprint(reference.value().results));
 }

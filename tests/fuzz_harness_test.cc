@@ -143,18 +143,60 @@ TEST(GeneratorTest, ConfigStringRoundTrips) {
   EXPECT_FALSE(EngineConfig::FromString("bogus=1").ok());
   EXPECT_FALSE(EngineConfig::FromString("rrd=2").ok());
   EXPECT_FALSE(EngineConfig::FromString("noequals").ok());
+  EXPECT_FALSE(EngineConfig::FromString("inst=2x;spec=1").ok());
+  EXPECT_FALSE(EngineConfig::FromString("det=maybe").ok());
+
+  // A line written before vsel/split/bcast existed still parses, to the
+  // defaults of the missing keys, and prints back unchanged.
+  const std::string older =
+      "inst=4;shards=4;eval=full;spec=1;state=1;rrd=0.734512;replay=fifo;"
+      "vq=fifo;crashes=1;det=1;trace=0;simd=0;serve=0;profile=1";
+  const auto parsed = EngineConfig::FromString(older);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().ToString(), older);
+  EXPECT_EQ(parsed.value().knobs.replay_relaxation_distance, 0.734512);
+  EXPECT_EQ(parsed.value().knobs.var_select, cp::VarSelect::kWidestDomain);
+  EXPECT_EQ(parsed.value().knobs.broadcast_delay_us, 0);
+
+  const auto newer = EngineConfig::FromString(older + ";vsel=first;bcast=50");
+  ASSERT_TRUE(newer.ok()) << newer.status().ToString();
+  EXPECT_EQ(newer.value().ToString(), older + ";vsel=first;bcast=50");
 }
 
 TEST(GeneratorTest, ConfigMatrixCoversTheRequiredShapes) {
   const auto configs = MakeConfigMatrix(123, 4);
   ASSERT_GE(configs.size(), 3u);
-  EXPECT_EQ(configs[0].num_instances, 1);
-  EXPECT_EQ(configs[0].shards_per_instance, 1);
-  EXPECT_GT(configs[1].num_instances, 1);        // work stealing
+  EXPECT_EQ(configs[0].knobs.num_instances, 1);
+  EXPECT_EQ(configs[0].knobs.shards_per_instance, 1);
+  EXPECT_GT(configs[1].knobs.num_instances, 1);  // work stealing
   EXPECT_GT(configs[2].fault_crashes, 0);        // fault injection
-  EXPECT_TRUE(configs[2].enable_failure_detector);
+  EXPECT_TRUE(configs[2].knobs.enable_failure_detector);
   EXPECT_TRUE(configs[0].simd);                  // SIMD baseline...
   EXPECT_FALSE(configs[1].simd);                 // ...vs a scalar replica
+}
+
+// Search order and broadcast latency are fuzz dimensions of every config
+// but the baseline, the crash-injection config included.
+TEST(GeneratorTest, ConfigMatrixDrawsSearchOrderAndBroadcastDelay) {
+  int var_select = 0, value_split = 0, delayed = 0, crash_varied = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    const auto configs = MakeConfigMatrix(seed, 8);
+    EXPECT_EQ(configs[0].ToString(), EngineConfig{}.ToString());
+    for (size_t i = 1; i < configs.size(); ++i) {
+      const core::RefineOptions& k = configs[i].knobs;
+      const bool varied = k.var_select != cp::VarSelect::kWidestDomain ||
+                          k.value_split != cp::ValueSplit::kBisectLowFirst ||
+                          k.broadcast_delay_us != 0;
+      var_select += k.var_select != cp::VarSelect::kWidestDomain;
+      value_split += k.value_split != cp::ValueSplit::kBisectLowFirst;
+      delayed += k.broadcast_delay_us != 0;
+      if (i == 2 && varied) ++crash_varied;
+    }
+  }
+  EXPECT_GT(var_select, 0);
+  EXPECT_GT(value_split, 0);
+  EXPECT_GT(delayed, 0);
+  EXPECT_GT(crash_varied, 0);
 }
 
 TEST(HarnessTest, CleanEngineMatchesOracleUnderAllConfigs) {
@@ -191,8 +233,8 @@ TEST(HarnessTest, InjectedBugIsCaughtAndShrunk) {
   const CaseResult still_failing = RunCase(shrunk, InjectedBug::kDropLast);
   EXPECT_FALSE(still_failing.ok) << "shrinking lost the failure";
   // Shrinking must reach the trivial cluster and a reduced workload.
-  EXPECT_EQ(shrunk.config.num_instances, 1);
-  EXPECT_EQ(shrunk.config.shards_per_instance, 1);
+  EXPECT_EQ(shrunk.config.knobs.num_instances, 1);
+  EXPECT_EQ(shrunk.config.knobs.shards_per_instance, 1);
   EXPECT_NE(shrunk.overrides.length_cap, 0);
 
   const std::string line = ReproLine(shrunk);

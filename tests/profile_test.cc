@@ -240,8 +240,8 @@ void CheckEstimatorAccuracy(bool grid) {
   const fuzz::Workload w =
       fuzz::MakeWorkload(7, fuzz::FuzzMode::kRelax, {}, grid);
   fuzz::EngineConfig config;
-  config.num_instances = 2;
-  config.shards_per_instance = 4;
+  config.knobs.num_instances = 2;
+  config.knobs.shards_per_instance = 4;
   core::RefineOptions options = config.ToOptions(w, nullptr);
   Profile profile;
   options.profile = &profile;

@@ -209,6 +209,30 @@ TEST(RefinerEdgeTest, SingleValueDomains) {
   EXPECT_EQ(run.results[0].point, (std::vector<int64_t>{100, 6}));
 }
 
+// The fail cap drops every fail recorded once the registry is full,
+// whatever its BRP, so a dropped fail may hold a better relaxation than
+// the answer's worst. The run must then say it is not complete (and the
+// semantic cache and the serve FINAL frame follow that flag), instead of
+// passing a possibly wrong top-k off as the §3 answer.
+TEST(RefinerEdgeTest, FailCapOverflowReportsAnIncompleteAnswer) {
+  const auto bundle = MakeSmallBundle();
+  TestQueryParams p;
+  p.contrast_min = 70.0;  // over-constrained: relaxation engages
+  p.k = 4;
+  const searchlight::QuerySpec query = MakeTestQuery(bundle, p);
+
+  RefineOptions capped;
+  capped.max_recorded_fails = 1;
+  const RunResult run = ExecuteQuery(query, capped).value();
+  EXPECT_GT(run.stats.fails_dropped_full, 0);
+  EXPECT_FALSE(run.stats.completed);
+
+  // With room for every fail the same query completes.
+  const RunResult full = ExecuteQuery(query, RefineOptions{}).value();
+  EXPECT_EQ(full.stats.fails_dropped_full, 0);
+  EXPECT_TRUE(full.stats.completed);
+}
+
 TEST(RefinerEdgeTest, RepeatedExecutionIsDeterministic) {
   const auto bundle = MakeSmallBundle();
   TestQueryParams p;

@@ -25,6 +25,7 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #include "testing/generator.h"
+#include "testing/harness.h"
 
 namespace dqr::serve {
 namespace {
@@ -40,36 +41,22 @@ fuzz::FuzzMode ModeFor(uint64_t seed) {
   }
 }
 
-// The QUERY frame a workload maps to: semantic knobs as attributes, the
-// text IR as the body. Engine knobs are left at server defaults, which
-// match the direct leg's EngineConfig defaults.
+// The QUERY frame a workload maps to: the fuzz harness's encoder with
+// every engine knob at the server's default, so only the workload's own
+// attributes are sent and the server runs 1 instance x 8 shards; the
+// text IR is the body.
 Frame QueryFrameFor(const std::string& id, const std::string& dataset,
                     const fuzz::Workload& w, bool cached) {
-  Frame q;
-  q.type = frame::kQuery;
-  q.Set("id", id);
-  q.Set("dataset", dataset);
-  q.Set("alpha", w.alpha);
-  q.Set("constrain", w.constrain == core::ConstrainMode::kNone ? "none"
-                     : w.constrain == core::ConstrainMode::kRank
-                         ? "rank"
-                         : "skyline");
-  if (!w.result_spacing.empty()) {
-    std::string spacing;
-    for (int64_t s : w.result_spacing) {
-      if (!spacing.empty()) spacing += ',';
-      spacing += std::to_string(s);
-    }
-    q.Set("spacing", spacing);
-    q.Set("divpool", w.diversity_pool_factor);
-  }
+  fuzz::EngineConfig server_defaults;
+  server_defaults.knobs = core::RefineOptions{};
+  Frame q = fuzz::MakeQueryFrame(id, dataset, w, server_defaults);
   if (cached) q.Set("cached", std::string("1"));
-  q.body = w.query_text;
   return q;
 }
 
-// The direct leg: the exact in-process execution the server performs for
-// a default-attribute QUERY frame.
+// The direct leg: the 1 x 1 sequential baseline in process, which the
+// server's work-stealing 1 x 8 runs of the same workload must match byte
+// for byte.
 std::string DirectCanonical(const fuzz::Workload& w) {
   core::FaultPlan plan;
   const core::RefineOptions options =
@@ -211,7 +198,8 @@ TEST(ServeDifferential, StreamedAnswersMatchDirectRunsUnderConcurrency) {
     ASSERT_TRUE(server.Start().ok());
     for (const Expected& e : expected) {
       ASSERT_TRUE(server
-                      .RegisterDataset("w" + std::to_string(e.workload.seed),
+                      .RegisterDataset(std::string("w").append(
+                                           std::to_string(e.workload.seed)),
                                        data::DatasetBundle{
                                            e.workload.array,
                                            e.workload.synopsis})
@@ -278,11 +266,9 @@ TEST(ServeDifferential, NanInputsGetErrorsAndTheConnectionKeepsServing) {
   ASSERT_TRUE(client.Connect(server.port()).ok());
   ASSERT_TRUE(client.Hello("nantest").ok());
 
-  // Get reads a key's first value, so overwrite the alpha already set.
+  // Every attribute is parsed, so a NaN after a valid alpha still fails.
   Frame nan_alpha = QueryFrameFor("a", "d", w, false);
-  for (auto& [key, value] : nan_alpha.attrs) {
-    if (key == "alpha") value = "nan";
-  }
+  nan_alpha.Set("alpha", std::string("nan"));
   Frame nan_rrd = QueryFrameFor("r", "d", w, false);
   nan_rrd.Set("rrd", std::string("nan"));
   // The first constraint line gets a trailing NaN weight option.
@@ -294,8 +280,8 @@ TEST(ServeDifferential, NanInputsGetErrorsAndTheConnectionKeepsServing) {
   const struct {
     const Frame* frame;
     const char* want;
-  } cases[] = {{&nan_alpha, "alpha must lie in [0, 1]"},
-               {&nan_rrd, "rrd must lie in (0, 1]"},
+  } cases[] = {{&nan_alpha, "knob 'alpha' must lie in [0, 1], got 'nan'"},
+               {&nan_rrd, "knob 'rrd' must lie in (0, 1], got 'nan'"},
                {&nan_weight, "weight needs a number in [0, 1]"}};
   for (const auto& c : cases) {
     Result<QueryRun> run = client.RunQuery(*c.frame);

@@ -88,7 +88,7 @@ TEST(SessionDifferentialTest, InjectedBugIsCaughtAndSessionShrinks) {
   EXPECT_TRUE(still_failing.failed());
   // The shrinker must reach the session floor and keep the case a session.
   EXPECT_EQ(shrunk.session, 1);
-  EXPECT_EQ(shrunk.config.num_instances, 1);
+  EXPECT_EQ(shrunk.config.knobs.num_instances, 1);
   EXPECT_NE(ReproLine(shrunk).find("--session=1"), std::string::npos)
       << ReproLine(shrunk);
 }
