@@ -17,21 +17,6 @@ double EnvDouble(const char* name, double fallback) {
   return value == nullptr ? fallback : std::atof(value);
 }
 
-// JSON output state: the target path (empty = disabled) and every record
-// serialized so far; the file is rewritten on each append.
-std::string& JsonPath() {
-  static std::string path = [] {
-    const char* env = std::getenv("DQR_BENCH_JSON");
-    return std::string(env == nullptr ? "" : env);
-  }();
-  return path;
-}
-
-std::vector<std::string>& JsonRecords() {
-  static std::vector<std::string> records;
-  return records;
-}
-
 // Trace output state: the target path (empty = disabled).
 std::string& TracePath() {
   static std::string path = [] {
@@ -50,23 +35,13 @@ std::string& ProfilePath() {
   return path;
 }
 
-std::string JsonObject(
-    const std::vector<std::pair<std::string, std::string>>& fields) {
-  std::string out = "{";
-  for (size_t i = 0; i < fields.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += JsonStr(fields[i].first) + ": " + fields[i].second;
-  }
-  return out + "}";
-}
-
 }  // namespace
 
 BenchEnv BenchEnv::FromEnv() {
   BenchEnv env;
-  const double scale = EnvDouble("DQR_BENCH_SCALE", 1.0);
-  env.synth_length = static_cast<int64_t>(env.synth_length * scale);
-  env.wave_length = static_cast<int64_t>(env.wave_length * scale);
+  env.scale = EnvDouble("DQR_BENCH_SCALE", 1.0);
+  env.synth_length = static_cast<int64_t>(env.synth_length * env.scale);
+  env.wave_length = static_cast<int64_t>(env.wave_length * env.scale);
   env.timeout_s = EnvDouble("DQR_BENCH_TIMEOUT_S", env.timeout_s);
   env.estimate_cost_ns = static_cast<int64_t>(
       EnvDouble("DQR_BENCH_COST_NS",
@@ -74,26 +49,10 @@ BenchEnv BenchEnv::FromEnv() {
   return env;
 }
 
-data::DatasetBundle SynthBundle(const BenchEnv& env) {
-  auto result = data::MakeSyntheticDataset(env.synth_length, 42);
-  DQR_CHECK_MSG(result.ok(), "synthetic dataset generation failed");
-  return std::move(result).value();
-}
-
 data::DatasetBundle WaveBundle(const BenchEnv& env) {
   auto result = data::MakeWaveformDataset(env.wave_length, 1234);
   DQR_CHECK_MSG(result.ok(), "waveform dataset generation failed");
   return std::move(result).value();
-}
-
-const data::DatasetBundle& BundleFor(const BenchEnv& env,
-                                     data::QueryKind kind,
-                                     const data::DatasetBundle& synth,
-                                     const data::DatasetBundle& wave) {
-  (void)env;
-  const bool synthetic = kind == data::QueryKind::kSSel ||
-                         kind == data::QueryKind::kSLos;
-  return synthetic ? synth : wave;
 }
 
 core::RefineOptions AutoOptions(const BenchEnv& env) {
@@ -103,139 +62,35 @@ core::RefineOptions AutoOptions(const BenchEnv& env) {
   return options;
 }
 
-core::RefineOptions ManualOptions(const BenchEnv& env) {
-  core::RefineOptions options;
-  options.enable = false;
-  options.num_instances = env.num_instances;
-  options.time_budget_s = env.timeout_s;
-  return options;
-}
-
-RunOutcome Run(const searchlight::QuerySpec& query,
-               const core::RefineOptions& options) {
-  core::RefineOptions traced = options;
-  traced.trace = BenchTrace();
-  traced.profile = BenchProfile();
-  auto result = core::ExecuteQuery(query, traced);
-  DQR_CHECK_MSG(result.ok(), result.status().ToString().c_str());
-  if (traced.profile != nullptr) WriteBenchProfile();
-  RunOutcome outcome;
-  outcome.total_s = result.value().stats.total_s;
-  outcome.first_s = result.value().stats.first_result_s;
-  outcome.results = result.value().results.size();
-  outcome.completed = result.value().stats.completed;
-  outcome.stats = result.value().stats;
-  return outcome;
-}
-
-RunOutcome RunManualScenario(const BenchEnv& env,
-                             const data::DatasetBundle& bundle,
-                             data::QueryKind kind,
-                             const std::vector<double>& fractions) {
-  const core::RefineOptions options = ManualOptions(env);
-  RunOutcome total;
-  for (const double fraction : fractions) {
-    data::QueryTuning tuning;
-    tuning.k = env.k;
-    tuning.estimate_cost_ns = env.estimate_cost_ns;
-    tuning.relax_fraction = fraction;
-    const searchlight::QuerySpec query =
-        data::MakeQuery(bundle, kind, tuning);
-    const RunOutcome step = Run(query, options);
-    if (step.first_s >= 0.0 && total.first_s < 0.0 &&
-        step.results >= static_cast<size_t>(env.k)) {
-      total.first_s = total.total_s + step.first_s;
-    }
-    total.total_s += step.total_s;
-    total.results = step.results;
-    total.completed = total.completed && step.completed;
-    if (!step.completed) break;  // the user gave up on this iteration
-  }
-  return total;
-}
-
-UserFractions FractionsFor(data::QueryKind kind) {
-  switch (kind) {
-    case data::QueryKind::kSSel:
-      return {0.10, 0.30};
-    case data::QueryKind::kSLos:
-      return {0.10, 0.30};
-    case data::QueryKind::kMSel:
-      return {0.25, 0.55};
-    case data::QueryKind::kMLos:
-      return {0.10, 0.30};
-    case data::QueryKind::kMSelPrime:
-      return {0.10, 0.30};
-  }
-  return {};
-}
-
-std::string JsonStr(const std::string& raw) {
-  std::string out = "\"";
-  for (const char c : raw) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out + "\"";
-}
-
-void InitBenchJson(const std::string& path) { JsonPath() = path; }
-
-void InitBenchJson(int argc, char** argv) {
+std::map<std::string, std::string> ParseBenchFlags(
+    int argc, char** argv, std::vector<std::string> flags) {
+  flags.insert(flags.begin(), {"trace", "profile"});
+  std::map<std::string, std::string> values;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      InitBenchJson(argv[i + 1]);
-      ++i;
-    } else if (arg == "--trace" && i + 1 < argc) {
-      InitBenchTrace(argv[i + 1]);
-      ++i;
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      InitBenchTrace(arg.substr(8));
-    } else if (arg == "--profile" && i + 1 < argc) {
-      InitBenchProfile(argv[i + 1]);
-      ++i;
-    } else if (arg.rfind("--profile=", 0) == 0) {
-      InitBenchProfile(arg.substr(10));
+    const size_t eq = arg.find('=');
+    const std::string name =
+        arg.rfind("--", 0) == 0 ? arg.substr(2, eq - 2) : "";
+    const bool known =
+        std::find(flags.begin(), flags.end(), name) != flags.end();
+    if (!known || (eq == std::string::npos && i + 1 == argc)) {
+      std::fprintf(stderr,
+                   "%s: unknown or incomplete argument '%s'\nusage: %s",
+                   argv[0], arg.c_str(), argv[0]);
+      for (const std::string& flag : flags) {
+        std::fprintf(stderr, " [--%s=VALUE]", flag.c_str());
+      }
+      std::fprintf(stderr, "\n");
+      std::exit(2);
     }
+    values[name] = eq == std::string::npos ? argv[++i] : arg.substr(eq + 1);
   }
+  if (values.count("trace") > 0) InitBenchTrace(values["trace"]);
+  if (values.count("profile") > 0) InitBenchProfile(values["profile"]);
+  return values;
 }
 
 void InitBenchTrace(const std::string& path) { TracePath() = path; }
-
-void InitBenchTrace(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--trace" && i + 1 < argc) {
-      InitBenchTrace(argv[i + 1]);
-      return;
-    }
-    if (arg.rfind("--trace=", 0) == 0) {
-      InitBenchTrace(arg.substr(8));
-      return;
-    }
-  }
-}
 
 obs::Trace* BenchTrace() {
   if (TracePath().empty()) return nullptr;
@@ -281,30 +136,6 @@ void WriteBenchProfile() {
   }
   std::fputs(json.c_str(), f);
   std::fputs("\n", f);
-  std::fclose(f);
-}
-
-void RecordJson(const JsonRecord& record) {
-  if (JsonPath().empty()) return;
-  char seconds[32];
-  std::snprintf(seconds, sizeof(seconds), "%.6f", record.seconds);
-  std::string obj = "{";
-  obj += JsonStr("name") + ": " + JsonStr(record.name) + ", ";
-  obj += JsonStr("config") + ": " + JsonObject(record.config) + ", ";
-  obj += JsonStr("seconds") + ": " + seconds + ", ";
-  obj += JsonStr("results") + ": " + JsonObject(record.results);
-  obj += "}";
-  JsonRecords().push_back(std::move(obj));
-
-  std::FILE* f = std::fopen(JsonPath().c_str(), "w");
-  if (f == nullptr) return;  // diagnostics-only output: ignore IO errors
-  std::fputs("[\n", f);
-  for (size_t i = 0; i < JsonRecords().size(); ++i) {
-    std::fputs("  ", f);
-    std::fputs(JsonRecords()[i].c_str(), f);
-    std::fputs(i + 1 < JsonRecords().size() ? ",\n" : "\n", f);
-  }
-  std::fputs("]\n", f);
   std::fclose(f);
 }
 

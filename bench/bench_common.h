@@ -2,8 +2,8 @@
 #define DQR_BENCH_BENCH_COMMON_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/refiner.h"
@@ -21,6 +21,7 @@ namespace dqr::bench {
 // configuration reproduces the *shapes* of its tables at laptop scale
 // (see EXPERIMENTS.md for the paper-vs-measured record).
 struct BenchEnv {
+  double scale = 1.0;
   int64_t synth_length = 1 << 21;
   int64_t wave_length = 1 << 21;
   double timeout_s = 30.0;
@@ -31,115 +32,53 @@ struct BenchEnv {
   static BenchEnv FromEnv();
 };
 
-// Builds the data sets once per binary.
-data::DatasetBundle SynthBundle(const BenchEnv& env);
+// The waveform data set at the configured scale.
 data::DatasetBundle WaveBundle(const BenchEnv& env);
-const data::DatasetBundle& BundleFor(const BenchEnv& env,
-                                     data::QueryKind kind,
-                                     const data::DatasetBundle& synth,
-                                     const data::DatasetBundle& wave);
 
 // Default refinement options for benchmarks (paper defaults + the bench
 // cluster size).
 core::RefineOptions AutoOptions(const BenchEnv& env);
-// Plain-Searchlight options for the manual USER-x scenarios.
-core::RefineOptions ManualOptions(const BenchEnv& env);
-
-struct RunOutcome {
-  double total_s = 0.0;
-  double first_s = -1.0;
-  size_t results = 0;
-  bool completed = true;
-  core::RunStats stats;
-};
-
-// Runs one query; aborts the process on query errors (benchmarks are
-// trusted inputs).
-RunOutcome Run(const searchlight::QuerySpec& query,
-               const core::RefineOptions& options);
-
-// Runs the manual scenario: one plain (refinement-off) execution per
-// relax fraction, in order, accumulating wall time. `first_s` is the
-// first-result time within the first iteration that produced >= k
-// results, offset by the preceding iterations (the user waits through
-// them). A non-completed iteration (timeout) marks the outcome capped.
-RunOutcome RunManualScenario(const BenchEnv& env,
-                             const data::DatasetBundle& bundle,
-                             data::QueryKind kind,
-                             const std::vector<double>& fractions);
-
-// The manual relaxation fractions per query kind: {cautious, correct}.
-// USER-3 = {0, cautious, correct}; USER-2 = {0, correct};
-// USER-MAX = {0, 1}.
-struct UserFractions {
-  double cautious = 0.1;
-  double correct = 0.3;
-};
-UserFractions FractionsFor(data::QueryKind kind);
 
 // Formats seconds like the paper's tables: "97", "2.4", "2h 8m"; capped
 // runs render as ">30".
 std::string Secs(double s, bool capped = false);
 
-// --- machine-readable output ---
-// One benchmark measurement: written as
-//   {"name": ..., "config": {...}, "seconds": ..., "results": {...}}
-// config/results entries map a key to an *already JSON-encoded* value —
-// numbers via std::to_string, strings via JsonStr.
-struct JsonRecord {
-  std::string name;
-  std::vector<std::pair<std::string, std::string>> config;
-  double seconds = 0.0;
-  std::vector<std::pair<std::string, std::string>> results;
-};
-
-// JSON string literal with quoting/escaping.
-std::string JsonStr(const std::string& raw);
-
-// Enables JSON output to `path`. Benches call the argc/argv overload to
-// honor `--json <path>`; independent of that, the DQR_BENCH_JSON
-// environment variable enables it for benches run without flags. With
-// neither configured, RecordJson is a no-op. The argc/argv overload also
-// handles the shared `--trace` flag (see InitBenchTrace below), so every
-// bench that parses its CLI through here can dump a timeline.
-void InitBenchJson(const std::string& path);
-void InitBenchJson(int argc, char** argv);
+// Parses the command line. Every bench takes --trace=FILE and
+// --profile=FILE (below); `flags` names the bench's own value flags,
+// whose values come back keyed by name. Each flag is also accepted as
+// "--flag VALUE". Any other argument prints the usage and exits with
+// status 2.
+std::map<std::string, std::string> ParseBenchFlags(
+    int argc, char** argv, std::vector<std::string> flags = {});
 
 // --- flight-recorder tracing (DESIGN.md §8) ---
-// Enables tracing for every Run() in this binary and dumps a Chrome
+// Enables tracing for this binary's queries and dumps a Chrome
 // trace_event JSON file at process exit (open in ui.perfetto.dev or
 // chrome://tracing, inspect with tools/dqr_trace). Benches get it via
-// `--trace <path>` / `--trace=<path>` through InitBenchJson(argc, argv),
-// or via the DQR_BENCH_TRACE environment variable.
+// `--trace=<path>` through ParseBenchFlags, or via the DQR_BENCH_TRACE
+// environment variable.
 void InitBenchTrace(const std::string& path);
-void InitBenchTrace(int argc, char** argv);
 // The shared per-binary Trace; null when tracing is disabled. Benches
-// that build RefineOptions by hand attach it as `options.trace`.
+// attach it as `options.trace`.
 obs::Trace* BenchTrace();
 // Writes/rewrites the configured trace file now (no-op when disabled);
 // also registered via atexit, so explicit calls are optional.
 void WriteBenchTrace();
 
 // --- per-query profiling (DESIGN.md §12) ---
-// Attaches an obs::Profile to every Run() in this binary and rewrites
+// Attaches an obs::Profile to this binary's queries; benches rewrite
 // `path` with the profile JSON of the most recent run after each query
 // (inspect with tools/dqr_profile; partial output survives an abort).
-// Benches get it via `--profile <path>` / `--profile=<path>` through
-// InitBenchJson(argc, argv), or via the DQR_BENCH_PROFILE environment
-// variable. Profiling is answer-preserving (the fuzz campaign's
-// `profile` dimension proves it), so enabling it never changes a
-// bench's byte-compared legs.
+// Benches get it via `--profile=<path>` through ParseBenchFlags, or via
+// the DQR_BENCH_PROFILE environment variable. Profiling is
+// answer-preserving (the fuzz campaign's `profile` dimension proves it),
+// so enabling it never changes a bench's byte-compared legs.
 void InitBenchProfile(const std::string& path);
 // The shared per-binary Profile; null when profiling is disabled.
-// Benches that build RefineOptions by hand attach it as
-// `options.profile`.
+// Benches attach it as `options.profile`.
 obs::Profile* BenchProfile();
 // Writes/rewrites the configured profile file now (no-op when disabled).
 void WriteBenchProfile();
-
-// Appends one record and rewrites the configured file as a JSON array, so
-// partial output survives an aborted run (`BENCH_*.json` perf trajectory).
-void RecordJson(const JsonRecord& record);
 
 // A fixed-width table printer with a title and a trailing note.
 class TablePrinter {

@@ -10,7 +10,7 @@
 // checked byte-identical to a precomputed serial baseline, so no
 // throughput is ever bought with a wrong answer.
 //
-//   bench_concurrent [--json <path>] [--trace <path>]
+//   bench_concurrent [--trace=<path>] [--profile=<path>]
 //
 // Reports, per concurrency level in {1, 2, 4, 8, 16}, the best repeat's
 // throughput (queries/s) and p50/p95 latency, plus the transient
@@ -34,8 +34,6 @@
 
 namespace {
 
-using dqr::bench::JsonRecord;
-using dqr::bench::RecordJson;
 using dqr::bench::TablePrinter;
 using dqr::fuzz::EngineConfig;
 using dqr::fuzz::FuzzMode;
@@ -152,7 +150,7 @@ std::string Fmt(double v, const char* format = "%.2f") {
 }  // namespace
 
 int main(int argc, char** argv) {
-  dqr::bench::InitBenchJson(argc, argv);
+  dqr::bench::ParseBenchFlags(argc, argv);
 
   // Small interactive queries over mixed shapes: scheduling cost must be
   // a visible fraction of each query, as it is in exploration sessions.
@@ -206,7 +204,6 @@ int main(int argc, char** argv) {
 
   int64_t mismatches = 0;
   int64_t errors = 0;
-  std::vector<JsonRecord> records;
   for (const int clients : kLevels) {
     // Several repeats per level, keeping the best-qps run: scheduler
     // noise at sub-millisecond query sizes dwarfs the effect floor, and
@@ -236,25 +233,6 @@ int main(int argc, char** argv) {
                   Fmt(best.p50_ms) + "/" + Fmt(best.p95_ms),
                   std::to_string(best.overflow_spawns),
                   std::to_string(best.queued)});
-
-    JsonRecord record;
-    record.name = "bench_concurrent_c" + std::to_string(clients);
-    record.config = {
-        {"clients", std::to_string(clients)},
-        {"queries", std::to_string(kQueriesPerLevel)},
-        {"repeats", std::to_string(kRepeats)},
-        {"pool_threads", std::to_string(pool.thread_count())},
-    };
-    record.seconds = best.wall_s;
-    record.results = {
-        {"qps", std::to_string(best.qps)},
-        {"p50_ms", std::to_string(best.p50_ms)},
-        {"p95_ms", std::to_string(best.p95_ms)},
-        {"overflow_spawns", std::to_string(best.overflow_spawns)},
-        {"queued", std::to_string(best.queued)},
-        {"mismatches", std::to_string(best.mismatches)},
-    };
-    records.push_back(record);
   }
 
   // A separate, untimed traced pass at the contended level: the emitted
@@ -278,8 +256,6 @@ int main(int argc, char** argv) {
       static_cast<long long>(stats.pool.overflow_spawns),
       static_cast<long long>(stats.queries_admitted),
       static_cast<long long>(stats.queries_queued), stats.peak_slots);
-
-  for (const JsonRecord& record : records) RecordJson(record);
 
   if (mismatches > 0 || errors > 0) {
     std::fprintf(stderr,

@@ -8,8 +8,6 @@
 //     plan; the extra wall time over the fault-free run bounds detection
 //     (the lease timeout) plus re-execution of the lost work. The result
 //     set must be byte-identical to the fault-free run.
-//
-// Accepts --json <path> (or DQR_BENCH_JSON) for machine-readable records.
 
 #include <algorithm>
 #include <cstdio>
@@ -153,7 +151,7 @@ std::pair<double, double> BestPair(const searchlight::QuerySpec& query,
 }  // namespace
 
 int main(int argc, char** argv) {
-  InitBenchJson(argc, argv);
+  ParseBenchFlags(argc, argv);
   BenchEnv env = BenchEnv::FromEnv();
   const int64_t n = std::max<int64_t>(
       1 << 13, std::min<int64_t>(env.synth_length, 1 << 18));
@@ -188,22 +186,6 @@ int main(int argc, char** argv) {
     table.Print();
     std::printf("  budget: < 2%% — heartbeats are one relaxed atomic store"
                 " per interval per instance.\n\n");
-
-    JsonRecord record;
-    record.name = "bench_fault_recovery/heartbeat_overhead";
-    record.config = {
-        {"instances", std::to_string(instances)},
-        {"heartbeat_interval_us",
-         std::to_string(guarded.heartbeat_interval_us)},
-        {"reps", std::to_string(kReps)},
-    };
-    record.seconds = on_s;
-    record.results = {
-        {"baseline_s", std::to_string(off_s)},
-        {"overhead_pct", std::to_string(overhead_pct)},
-        {"budget_pct", "2"},
-    };
-    RecordJson(record);
   }
 
   // ---- Experiment 2: time to recover one lost instance ----------------
@@ -240,26 +222,6 @@ int main(int argc, char** argv) {
     std::printf("  recovery overhead %.3fs (detection bound: lease timeout"
                 " %.3fs) — results byte-identical.\n",
                 recover_s, faulty.lease_timeout_us / 1e6);
-
-    JsonRecord record;
-    record.name = "bench_fault_recovery/time_to_recover";
-    record.config = {
-        {"instances", std::to_string(instances)},
-        {"lease_timeout_us", std::to_string(faulty.lease_timeout_us)},
-        {"crash_site", JsonStr("shard_pickup@4")},
-    };
-    record.seconds = recovered.stats.total_s;
-    record.results = {
-        {"fault_free_s", std::to_string(fault_free.stats.total_s)},
-        {"recovery_overhead_s", std::to_string(recover_s)},
-        {"instances_lost", std::to_string(recovered.stats.instances_lost)},
-        {"shards_requeued",
-         std::to_string(recovered.stats.shards_requeued)},
-        {"candidates_revalidated",
-         std::to_string(recovered.stats.candidates_revalidated)},
-        {"results_identical", identical ? "true" : "false"},
-    };
-    RecordJson(record);
   }
   return 0;
 }

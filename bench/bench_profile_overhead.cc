@@ -16,7 +16,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -39,23 +39,20 @@ int main(int argc, char** argv) {
   using namespace dqr;
   using namespace dqr::bench;
 
-  InitBenchJson(argc, argv);
-  double max_overhead = 1.30;  // ratio gate: profiled p50 / baseline p50
-  int iters = 7;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--max-overhead") == 0 && i + 1 < argc) {
-      max_overhead = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc) {
-      iters = std::atoi(argv[++i]);
-    }
-  }
+  auto flags = ParseBenchFlags(argc, argv, {"max-overhead", "iters"});
+  // The ratio gate: profiled p50 / baseline p50.
+  const double max_overhead = flags.count("max-overhead") > 0
+                                  ? std::atof(flags["max-overhead"].c_str())
+                                  : 1.30;
+  const int iters =
+      flags.count("iters") > 0 ? std::atoi(flags["iters"].c_str()) : 7;
 
   const BenchEnv env = BenchEnv::FromEnv();
   const auto wave = WaveBundle(env);
   data::QueryTuning tuning;
   tuning.k = env.k;
   tuning.estimate_cost_ns = env.estimate_cost_ns;
-  tuning.relax_fraction = FractionsFor(data::QueryKind::kSLos).correct;
+  tuning.relax_fraction = 0.30;  // S-LOS's correctly relaxed query
   const searchlight::QuerySpec query =
       data::MakeQuery(wave, data::QueryKind::kSLos, tuning);
   core::RefineOptions options = AutoOptions(env);
@@ -132,17 +129,6 @@ int main(int argc, char** argv) {
   std::printf("overhead: %.2f%% (gate %.0f%%), accuracy samples: %lld\n",
               (ratio - 1.0) * 100.0, (max_overhead - 1.0) * 100.0,
               static_cast<long long>(accuracy_samples));
-
-  JsonRecord record;
-  record.name = "profile_overhead";
-  record.config.emplace_back("iters", std::to_string(iters));
-  record.seconds = p50_on;
-  record.results.emplace_back("p50_off_s", std::to_string(p50_off));
-  record.results.emplace_back("p50_on_s", std::to_string(p50_on));
-  record.results.emplace_back("overhead_ratio", std::to_string(ratio));
-  record.results.emplace_back("accuracy_samples",
-                              std::to_string(accuracy_samples));
-  RecordJson(record);
 
   if (ratio > max_overhead) {
     std::fprintf(stderr, "FAIL: overhead ratio %.3f exceeds %.3f\n",

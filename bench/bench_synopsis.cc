@@ -10,8 +10,6 @@
 // counter. Its cells are copies of the same aggregates, so a sanity pass
 // checks both implementations return bit-identical intervals when
 // evaluated at the same level.
-//
-// Accepts --json <path> (or DQR_BENCH_JSON) for machine-readable records.
 
 #include <algorithm>
 #include <atomic>
@@ -287,7 +285,7 @@ std::shared_ptr<array::Grid> MakeBenchGrid(int64_t side) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  InitBenchJson(argc, argv);
+  ParseBenchFlags(argc, argv);
   const BenchEnv env = BenchEnv::FromEnv();
   const int64_t n = env.synth_length;
 
@@ -317,12 +315,6 @@ int main(int argc, char** argv) {
   build_table.AddRow({"bottom-up", Secs(build_s)});
   build_table.AddRow({"per-level rescan", Secs(rescan_s)});
   build_table.Print();
-  RecordJson({"synopsis_build",
-              {{"n", std::to_string(n)},
-               {"levels", std::to_string(options.cell_sizes.size())}},
-              build_s,
-              {{"rescan_seconds", std::to_string(rescan_s)},
-               {"speedup", std::to_string(rescan_s / build_s)}}});
 
   // --- per-level memory cost of the sparse tables ---------------------
   TablePrinter mem_table("per-level memory (SoA+RMQ vs AoS cells)",
@@ -341,13 +333,6 @@ int main(int argc, char** argv) {
                       std::to_string(v.num_cells), std::to_string(bytes),
                       std::to_string(baseline),
                       std::to_string(growth)});
-    RecordJson({"synopsis_memory",
-                {{"cell_size", std::to_string(v.cell_size)},
-                 {"cells", std::to_string(v.num_cells)}},
-                0.0,
-                {{"bytes", std::to_string(bytes)},
-                 {"baseline_bytes", std::to_string(baseline)},
-                 {"growth", std::to_string(growth)}}});
   }
   mem_table.Print();
 
@@ -440,18 +425,6 @@ int main(int argc, char** argv) {
          std::to_string(cells), std::to_string(value_rmq_ns),
          std::to_string(value_old_ns), std::to_string(max_rmq_ns),
          std::to_string(max_old_ns), speedup_buf});
-    RecordJson({"synopsis_query",
-                {{"span", std::to_string(span)},
-                 {"level_cell_size", std::to_string(v.cell_size)},
-                 {"cells", std::to_string(cells)}},
-                value_rmq_ns * kRounds * kQueries / 1e9,
-                {{"value_rmq_ns", std::to_string(value_rmq_ns)},
-                 {"value_old_ns", std::to_string(value_old_ns)},
-                 {"max_rmq_ns", std::to_string(max_rmq_ns)},
-                 {"max_old_ns", std::to_string(max_old_ns)},
-                 {"value_speedup", std::to_string(speedup)},
-                 {"max_speedup",
-                  std::to_string(max_old_ns / max_rmq_ns)}}});
   }
   query_table.Print();
   std::printf("checksum %.3f, queries served %lld (+%lld old-path)\n",
@@ -488,14 +461,6 @@ int main(int argc, char** argv) {
   grid_build_table.AddRow({"bottom-up", Secs(grid_build_s)});
   grid_build_table.AddRow({"per-level rescan", Secs(grid_rescan_s)});
   grid_build_table.Print();
-  RecordJson({"grid_synopsis_build",
-              {{"side", std::to_string(side)},
-               {"levels",
-                std::to_string(grid_options.cell_sizes.size())}},
-              grid_build_s,
-              {{"rescan_seconds", std::to_string(grid_rescan_s)},
-               {"speedup",
-                std::to_string(grid_rescan_s / grid_build_s)}}});
 
   // Square spans routed (by the shared worst-case estimate) to each
   // level: cs=16 up to span 224, cs=64 up to span 896, cs=512 beyond.
@@ -599,19 +564,6 @@ int main(int argc, char** argv) {
          std::to_string(value_rmq_ns), std::to_string(value_old_ns),
          std::to_string(max_rmq_ns), std::to_string(max_old_ns),
          speedup_buf});
-    RecordJson({"grid_synopsis_query",
-                {{"span", std::to_string(span)},
-                 {"level_cell_size", std::to_string(v.cell_size)},
-                 {"cells",
-                  std::to_string(cells_per_dim * cells_per_dim)}},
-                value_rmq_ns * kRounds * kQueries / 1e9,
-                {{"value_rmq_ns", std::to_string(value_rmq_ns)},
-                 {"value_old_ns", std::to_string(value_old_ns)},
-                 {"max_rmq_ns", std::to_string(max_rmq_ns)},
-                 {"max_old_ns", std::to_string(max_old_ns)},
-                 {"value_speedup", std::to_string(speedup)},
-                 {"max_speedup",
-                  std::to_string(max_old_ns / max_rmq_ns)}}});
   }
   grid_query_table.Print();
   std::printf(

@@ -11,8 +11,6 @@
 //   * replay skew — scarce bounds force relaxation; fails recorded in the
 //     hot region are replayed from the shared global pool by whichever
 //     instance is free (stolen-replay counts show the balance).
-//
-// Accepts --json <path> (or DQR_BENCH_JSON) for machine-readable records.
 
 #include <algorithm>
 #include <cstdio>
@@ -163,30 +161,10 @@ SpreadRow RunConfig(const searchlight::QuerySpec& query, int instances,
   return row;
 }
 
-void EmitJson(const std::string& experiment, int instances, int shards,
-              const SpreadRow& row, bool same_results) {
-  JsonRecord record;
-  record.name = "bench_work_stealing/" + experiment;
-  record.config = {
-      {"instances", std::to_string(instances)},
-      {"shards_per_instance", std::to_string(shards)},
-  };
-  record.seconds = row.total_s;
-  record.results = {
-      {"busy_min_s", std::to_string(row.busy_min)},
-      {"busy_max_s", std::to_string(row.busy_max)},
-      {"shards_executed", std::to_string(row.stats.shards_executed)},
-      {"replays", std::to_string(row.stats.replays)},
-      {"replays_stolen", std::to_string(row.stats.replays_stolen)},
-      {"results_identical", same_results ? "true" : "false"},
-  };
-  RecordJson(record);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  InitBenchJson(argc, argv);
+  ParseBenchFlags(argc, argv);
   BenchEnv env = BenchEnv::FromEnv();
   const int64_t n =
       std::max<int64_t>(1 << 12, std::min<int64_t>(env.synth_length, 1 << 13));
@@ -223,7 +201,6 @@ int main(int argc, char** argv) {
                     Secs(row.busy_min), Secs(row.busy_max),
                     spread < 0.0 ? "inf" : spread_str,
                     same ? "same" : "DIFFERENT!"});
-      EmitJson("main_search_skew", instances, shards, row, same);
     }
     table.Print();
     std::printf(
@@ -257,7 +234,6 @@ int main(int argc, char** argv) {
                     std::to_string(row.stats.replays),
                     std::to_string(row.stats.replays_stolen), split,
                     same ? "same" : "DIFFERENT!"});
-      EmitJson("replay_skew", instances, shards, row, same);
     }
     table.Print();
     std::printf(

@@ -92,8 +92,9 @@ struct InstanceRunner::Impl {
           stats_(*stats),
           tracer_(tracer) {}
 
-    void OnFail(cp::FailInfo info) override { impl_.HandleFail(
-        bundle_, std::move(info), stats_, tracer_); }
+    void OnFail(cp::FailInfo info) override {
+      impl_.HandleFail(bundle_, std::move(info), tracer_);
+    }
 
     bool OnNode(const cp::DomainBox& box,
                 const std::vector<Interval>& estimates) override {
@@ -216,7 +217,7 @@ struct InstanceRunner::Impl {
   }
 
   void HandleFail(ConstraintBundle& bundle, cp::FailInfo info,
-                  RunStats& stats, obs::ThreadTracer& tracer) {
+                  obs::ThreadTracer& tracer) {
     if (crashed()) return;
     if (!RefinementActive()) return;
     if (cfg.coordinator->CurrentPhase() == QueryPhase::kConstraining) {
@@ -259,7 +260,6 @@ struct InstanceRunner::Impl {
       record.states = bundle.SaveStates(record.box);
     }
     cfg.registry->Record(std::move(record), ReplayMrp());
-    ++stats.fails_recorded;
     tracer.Instant(obs::EventName::kFailRecord, brp);
   }
 

@@ -428,6 +428,7 @@ Result<RunResult> ExecuteQuery(const searchlight::QuerySpec& query,
   result.stats.mrk_updates = coordinator.tracker().mrk_updates();
   // The replay pool is shared, so its gauges are cluster-level facts: the
   // summed and max views coincide by construction.
+  result.stats.fails_recorded = registry.recorded();
   result.stats.fails_discarded_at_record = registry.discarded_at_record();
   result.stats.fails_discarded_at_pop = registry.discarded_at_pop();
   result.stats.fails_dropped_full = registry.dropped_full();

@@ -67,7 +67,7 @@ namespace dqr::core {
     "Shards pulled from the shared pool during main search")                 \
   X(int64_t, replays_stolen, 0, SUM,                                         \
     "Replays of fails recorded by a different instance")                     \
-  X(int64_t, fails_recorded, 0, SUM, "Fails recorded into the registry")     \
+  X(int64_t, fails_recorded, 0, SUM, "Fails the registry kept")              \
   X(int64_t, fails_discarded_at_record, 0, SUM,                              \
     "Fails rejected at record time (BRP already above MRP)")                 \
   X(int64_t, fails_discarded_at_pop, 0, SUM,                                 \

@@ -225,6 +225,8 @@ TEST(RefinerEdgeTest, FailCapOverflowReportsAnIncompleteAnswer) {
   capped.max_recorded_fails = 1;
   const RunResult run = ExecuteQuery(query, capped).value();
   EXPECT_GT(run.stats.fails_dropped_full, 0);
+  // Only the one fail the registry kept counts as recorded.
+  EXPECT_EQ(run.stats.fails_recorded, 1);
   EXPECT_FALSE(run.stats.completed);
 
   // With room for every fail the same query completes.
