@@ -91,14 +91,6 @@ void SharedBoundsMemo::EraseSpace(uint64_t space) {
   }
 }
 
-void SharedBoundsMemo::Clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
-    shard.fifo.clear();
-  }
-}
-
 size_t SharedBoundsMemo::size() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {

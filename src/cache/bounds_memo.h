@@ -68,7 +68,6 @@ class SharedBoundsMemo {
 
   // Drops every entry of one memo space (epoch invalidation).
   void EraseSpace(uint64_t space);
-  void Clear();
 
   size_t size() const;
   SharedMemoStats stats() const;

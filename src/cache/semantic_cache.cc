@@ -328,12 +328,7 @@ void SemanticCache::InsertAnswer(CachedAnswer answer) {
   if (const auto it = by_fingerprint_.find(shared->fingerprint);
       it != by_fingerprint_.end()) {
     // Refresh: drop the superseded entry from the FIFO as well.
-    for (auto d = answers_.begin(); d != answers_.end(); ++d) {
-      if (*d == it->second) {
-        answers_.erase(d);
-        break;
-      }
-    }
+    std::erase(answers_, it->second);
     by_fingerprint_.erase(it);
   }
   answers_.push_front(shared);
@@ -352,11 +347,6 @@ void SemanticCache::InsertAnswer(CachedAnswer answer) {
 SemanticCache::Stats SemanticCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-size_t SemanticCache::answer_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return answers_.size();
 }
 
 void SemanticCache::CountOutcome(CacheOutcome outcome) {
@@ -380,101 +370,87 @@ void SemanticCache::CountOutcome(CacheOutcome outcome) {
   }
 }
 
-namespace {
-
-// Builds the RunResult of a cache hit: the stored/synthesized results
-// plus a stats block carrying only the cache counters. Streams results
-// through on_result, matching the online-answering contract.
-core::RunResult SynthesizeResult(std::vector<core::Solution> results,
-                                 const core::RefineOptions& options,
-                                 bool exact_hit) {
-  core::RunResult run;
-  run.results = std::move(results);
-  for (const core::Solution& s : run.results) {
-    if (s.rp == 0.0) ++run.stats.exact_results;
-    if (options.on_result) options.on_result(s);
-  }
-  if (exact_hit) {
-    run.stats.answer_cache_exact_hits = 1;
-  } else {
-    run.stats.answer_cache_subsumption_hits = 1;
-  }
-  return run;
-}
-
-}  // namespace
-
-Result<core::RunResult> ExecuteQueryCached(SemanticCache* cache,
+Result<CacheResolution> ResolveQueryCached(SemanticCache* cache,
                                            const CachedQuery& cq,
-                                           const core::RefineOptions& options,
-                                           CacheOutcome* outcome) {
-  CacheOutcome resolved = CacheOutcome::kBypass;
-  if (outcome != nullptr) *outcome = resolved;
+                                           const core::RefineOptions& options) {
   if (cq.function_ids.size() != cq.query.constraints.size()) {
     return InvalidArgumentError(
         "CachedQuery needs one function id per constraint");
   }
-  const bool custom_models =
-      options.custom_penalty != nullptr || options.custom_rank != nullptr;
-  if (cache == nullptr || custom_models) {
+  CacheResolution resolution;  // a bypass until the cache applies
+  if (cache == nullptr || options.custom_penalty != nullptr ||
+      options.custom_rank != nullptr) {
+    return resolution;
+  }
+
+  resolution.outcome = CacheOutcome::kMiss;
+  resolution.epoch = cache->CurrentEpoch(cq.dataset_id);
+  resolution.fingerprint = QueryFingerprint(cq, options);
+
+  // Exact hit (the same semantic query on the same epoch), else a looser
+  // answer that certifiably contains every exact one.
+  std::optional<std::vector<core::Solution>> answer;
+  CacheOutcome hit = CacheOutcome::kExactHit;
+  if (std::shared_ptr<const CachedAnswer> exact =
+          cache->LookupExact(resolution.fingerprint, resolution.epoch)) {
+    answer = exact->results;
+  } else {
+    hit = CacheOutcome::kSubsumeHit;
+    for (const std::shared_ptr<const CachedAnswer>& candidate :
+         cache->AnswersFor(cq.dataset_id, resolution.epoch)) {
+      answer = TrySubsume(cq, options, *candidate);
+      if (answer.has_value()) break;
+    }
+  }
+  if (!answer.has_value()) return resolution;
+
+  // The hit's result streams through on_result, as the online-answering
+  // contract asks; its stats carry only the cache counter.
+  const int trace_epoch =
+      options.trace != nullptr ? options.trace->BeginQuery() : -1;
+  obs::ThreadTracer tracer =
+      obs::MakeTracer(options.trace, /*instance=*/-1,
+                      obs::ThreadRole::kSession, options.trace_buffer_events,
+                      trace_epoch);
+  obs::SpanScope span = tracer.Scope(obs::EventName::kCacheLookup);
+  core::RunResult& run = resolution.answer.emplace();
+  run.results = std::move(answer).value();
+  run.trace_epoch = trace_epoch;
+  for (const core::Solution& s : run.results) {
+    if (s.rp == 0.0) ++run.stats.exact_results;
+    if (options.on_result) options.on_result(s);
+  }
+  if (hit == CacheOutcome::kExactHit) {
+    run.stats.answer_cache_exact_hits = 1;
+  } else {
+    run.stats.answer_cache_subsumption_hits = 1;
+  }
+  tracer.Instant(hit == CacheOutcome::kExactHit
+                     ? obs::EventName::kCacheExactHit
+                     : obs::EventName::kCacheSubsume,
+                 static_cast<double>(run.results.size()));
+  resolution.outcome = hit;
+  cache->CountOutcome(hit);
+  return resolution;
+}
+
+Result<core::RunResult> ExecuteResolved(SemanticCache* cache,
+                                        const CachedQuery& cq,
+                                        const core::RefineOptions& options,
+                                        CacheResolution resolution,
+                                        CacheOutcome* outcome) {
+  if (outcome != nullptr) *outcome = resolution.outcome;
+  if (resolution.answer.has_value()) return *std::move(resolution.answer);
+  if (resolution.outcome == CacheOutcome::kBypass) {
     if (cache != nullptr) cache->CountOutcome(CacheOutcome::kBypass);
     return core::ExecuteQuery(cq.query, options);
   }
 
-  const uint64_t epoch = cache->CurrentEpoch(cq.dataset_id);
-  const std::string fingerprint = QueryFingerprint(cq, options);
-
-  // --- exact hit: the same semantic query on the same epoch ---
-  if (std::shared_ptr<const CachedAnswer> hit =
-          cache->LookupExact(fingerprint, epoch)) {
-    const int trace_epoch =
-        options.trace != nullptr ? options.trace->BeginQuery() : -1;
-    obs::ThreadTracer tracer =
-        obs::MakeTracer(options.trace, /*instance=*/-1,
-                        obs::ThreadRole::kSession,
-                        options.trace_buffer_events, trace_epoch);
-    obs::SpanScope span = tracer.Scope(obs::EventName::kCacheLookup);
-    core::RunResult run =
-        SynthesizeResult(hit->results, options, /*exact_hit=*/true);
-    run.trace_epoch = trace_epoch;
-    tracer.Instant(obs::EventName::kCacheExactHit,
-                   static_cast<double>(run.results.size()));
-    resolved = CacheOutcome::kExactHit;
-    if (outcome != nullptr) *outcome = resolved;
-    cache->CountOutcome(resolved);
-    return run;
-  }
-
-  const std::vector<std::shared_ptr<const CachedAnswer>> candidates =
-      cache->AnswersFor(cq.dataset_id, epoch);
-
-  // --- subsumption: a looser answer certifiably contains every exact ---
-  for (const std::shared_ptr<const CachedAnswer>& candidate : candidates) {
-    std::optional<std::vector<core::Solution>> subsumed =
-        TrySubsume(cq, options, *candidate);
-    if (!subsumed.has_value()) continue;
-    const int trace_epoch =
-        options.trace != nullptr ? options.trace->BeginQuery() : -1;
-    obs::ThreadTracer tracer =
-        obs::MakeTracer(options.trace, /*instance=*/-1,
-                        obs::ThreadRole::kSession,
-                        options.trace_buffer_events, trace_epoch);
-    obs::SpanScope span = tracer.Scope(obs::EventName::kCacheLookup);
-    core::RunResult run = SynthesizeResult(std::move(subsumed).value(),
-                                           options, /*exact_hit=*/false);
-    run.trace_epoch = trace_epoch;
-    tracer.Instant(obs::EventName::kCacheSubsume,
-                   static_cast<double>(run.results.size()));
-    resolved = CacheOutcome::kSubsumeHit;
-    if (outcome != nullptr) *outcome = resolved;
-    cache->CountOutcome(resolved);
-    return run;
-  }
-
   // --- execute, possibly warm-started, sharing the bounds memo ---
-  const std::vector<core::Solution> warm =
-      WarmResults(cq, options, candidates);
-  resolved = warm.empty() ? CacheOutcome::kMiss : CacheOutcome::kWarmStart;
+  const std::vector<core::Solution> warm = WarmResults(
+      cq, options, cache->AnswersFor(cq.dataset_id, resolution.epoch));
+  const CacheOutcome resolved =
+      warm.empty() ? CacheOutcome::kMiss : CacheOutcome::kWarmStart;
   core::RefineOptions exec_options = options;
   exec_options.warm_results.insert(exec_options.warm_results.end(),
                                    warm.begin(), warm.end());
@@ -501,9 +477,9 @@ Result<core::RunResult> ExecuteQueryCached(SemanticCache* cache,
 
   if (run.value().stats.completed) {
     CachedAnswer answer;
-    answer.fingerprint = fingerprint;
+    answer.fingerprint = std::move(resolution.fingerprint);
     answer.dataset_id = cq.dataset_id;
-    answer.epoch = epoch;
+    answer.epoch = resolution.epoch;
     answer.query = cq.query;
     answer.function_ids = cq.function_ids;
     answer.enable = options.enable;
@@ -517,6 +493,17 @@ Result<core::RunResult> ExecuteQueryCached(SemanticCache* cache,
                    static_cast<double>(run.value().results.size()));
   }
   return run;
+}
+
+Result<core::RunResult> ExecuteQueryCached(SemanticCache* cache,
+                                           const CachedQuery& cq,
+                                           const core::RefineOptions& options,
+                                           CacheOutcome* outcome) {
+  if (outcome != nullptr) *outcome = CacheOutcome::kBypass;
+  Result<CacheResolution> resolution = ResolveQueryCached(cache, cq, options);
+  if (!resolution.ok()) return resolution.status();
+  return ExecuteResolved(cache, cq, options, std::move(resolution).value(),
+                         outcome);
 }
 
 }  // namespace dqr::cache

@@ -143,7 +143,6 @@ class SemanticCache {
   void InsertAnswer(CachedAnswer answer);
 
   Stats stats() const;
-  size_t answer_count() const;
 
   // Outcome accounting used by ExecuteQueryCached.
   void CountOutcome(CacheOutcome outcome);
@@ -168,12 +167,33 @@ class SemanticCache {
 std::string QueryFingerprint(const CachedQuery& cq,
                              const core::RefineOptions& options);
 
-// Semantic-cache-aware ExecuteQuery. Resolution order: exact hit →
-// subsumption → warm-started execution → cold execution; completed runs
-// without custom models are inserted back into the cache. Cached answers
-// short-circuit execution entirely, so RunStats of a hit carry only the
-// cache counters (and on_result callbacks do not replay). `outcome`, when
-// non-null, receives how the query was answered.
+// What ResolveQueryCached found: a hit's answer, or the key a miss's
+// completed answer is stored under.
+struct CacheResolution {
+  CacheOutcome outcome = CacheOutcome::kBypass;  // exact/subsume/miss/bypass
+  std::optional<core::RunResult> answer;          // set on a hit only
+  std::string fingerprint;
+  uint64_t epoch = 0;
+};
+
+// Semantic-cache-aware ExecuteQuery, in two steps (DESIGN.md §9).
+// Resolve: exact hit, then subsumption, answered without executing (RunStats
+// carry only the cache counters; on_result streams the answer); else a
+// miss, or a bypass for a null cache or custom models. It needs no engine
+// task, so EngineSession::ExecuteCached resolves before admission.
+// Execute: a hit passes through; anything else runs, warm-started from
+// the answers cached by then, and a completed run without custom models
+// is stored. ExecuteQueryCached is resolve then execute. `outcome`, when
+// non-null, receives how the query was answered; each query is counted
+// in SemanticCache::Stats once, a hit by resolve and the rest by execute.
+Result<CacheResolution> ResolveQueryCached(SemanticCache* cache,
+                                           const CachedQuery& cq,
+                                           const core::RefineOptions& options);
+Result<core::RunResult> ExecuteResolved(SemanticCache* cache,
+                                        const CachedQuery& cq,
+                                        const core::RefineOptions& options,
+                                        CacheResolution resolution,
+                                        CacheOutcome* outcome = nullptr);
 Result<core::RunResult> ExecuteQueryCached(SemanticCache* cache,
                                            const CachedQuery& cq,
                                            const core::RefineOptions& options,

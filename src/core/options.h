@@ -192,7 +192,10 @@ struct RefineOptions {
   int64_t broadcast_delay_us = 0;
   // Wall-clock budget in seconds; 0 = unlimited. When exceeded the query
   // is cancelled and the partial result returned with completed = false
-  // (used for the USER-MAX ">1h" rows).
+  // (used for the USER-MAX ">1h" rows). The budget bounds the search, not
+  // the assembly of the answer: the final result list is copied and
+  // sorted after the cancel and counts in total_s, about 0.3-0.6 us per
+  // result (DESIGN.md §7).
   double time_budget_s = 0.0;
 
   // --- failure model (see DESIGN.md §7) ---

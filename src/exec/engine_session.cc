@@ -3,33 +3,18 @@
 #include "obs/profile.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <utility>
 
 #include "common/stopwatch.h"
 
 namespace dqr::exec {
 
-namespace {
-
-int ResolveMaxConcurrent(int requested) {
-  if (requested > 0) return requested;
-  if (const char* env = std::getenv("DQR_MAX_CONCURRENT_QUERIES")) {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0 && v <= 4096) {
-      return static_cast<int>(v);
-    }
-  }
-  return 8;
-}
-
-}  // namespace
-
 EngineSession::EngineSession(EngineSessionOptions options)
     : pool_(options.pool != nullptr ? options.pool : &WorkerPool::Shared()),
       wheel_(options.wheel != nullptr ? options.wheel
                                       : &TimerWheel::Shared()),
-      max_concurrent_(ResolveMaxConcurrent(options.max_concurrent_queries)),
+      max_concurrent_(ResolveCount(options.max_concurrent_queries,
+                                   "DQR_MAX_CONCURRENT_QUERIES", 4096, 8)),
       // The in-flight task budget: admitting up to 2x the worker count
       // keeps the pool saturated (engine tasks block on queues/barriers
       // a lot) while bounding overflow spawns.
@@ -78,47 +63,49 @@ void EngineSession::Release(int64_t demand) {
   cv_.notify_all();
 }
 
-namespace {
-
-// Admission wait is measured here, around ExecuteQuery, so the engine
-// cannot stamp it itself — patch both the result's stats and (if
-// profiling) the already-assembled profile.
-void StampAdmissionWait(const core::RefineOptions& opts, double waited_s,
-                        core::RunResult* result) {
-  result->stats.admission_wait_s = waited_s;
-  result->stats.admission_wait.RecordSeconds(waited_s);
-  if (opts.profile != nullptr) opts.profile->RecordAdmissionWait(waited_s);
-}
-
-}  // namespace
-
-Result<core::RunResult> EngineSession::Execute(
-    const searchlight::QuerySpec& query,
-    const core::RefineOptions& options) {
+template <typename RunFn>
+Result<core::RunResult> EngineSession::RunInSlot(
+    const core::RefineOptions& options, RunFn run) {
   core::RefineOptions opts = options;
   opts.worker_pool = pool_;
   opts.timer_wheel = wheel_;
   const int64_t demand = TaskDemand(opts);
   const double waited_s = Admit(demand);
-  Result<core::RunResult> result = core::ExecuteQuery(query, opts);
+  Result<core::RunResult> result = run(opts);
   Release(demand);
-  if (result.ok()) StampAdmissionWait(opts, waited_s, &result.value());
+  // The engine cannot time its own admission: stamp the wait on the
+  // stats and, if profiling, on the already-assembled profile.
+  if (result.ok()) {
+    result.value().stats.admission_wait_s = waited_s;
+    result.value().stats.admission_wait.RecordSeconds(waited_s);
+    if (opts.profile != nullptr) opts.profile->RecordAdmissionWait(waited_s);
+  }
   return result;
+}
+
+Result<core::RunResult> EngineSession::Execute(
+    const searchlight::QuerySpec& query,
+    const core::RefineOptions& options) {
+  return RunInSlot(options, [&](const core::RefineOptions& opts) {
+    return core::ExecuteQuery(query, opts);
+  });
 }
 
 Result<core::RunResult> EngineSession::ExecuteCached(
     cache::SemanticCache* cache, const cache::CachedQuery& cq,
     const core::RefineOptions& options, cache::CacheOutcome* outcome) {
-  core::RefineOptions opts = options;
-  opts.worker_pool = pool_;
-  opts.timer_wheel = wheel_;
-  const int64_t demand = TaskDemand(opts);
-  const double waited_s = Admit(demand);
-  Result<core::RunResult> result =
-      cache::ExecuteQueryCached(cache, cq, opts, outcome);
-  Release(demand);
-  if (result.ok()) StampAdmissionWait(opts, waited_s, &result.value());
-  return result;
+  // A hit needs no engine task: it is answered here, ahead of admission.
+  Result<cache::CacheResolution> resolution =
+      cache::ResolveQueryCached(cache, cq, options);
+  if (resolution.ok() && resolution.value().answer.has_value()) {
+    return cache::ExecuteResolved(cache, cq, options,
+                                  std::move(resolution).value(), outcome);
+  }
+  // Anything else is admitted, then resolved again: a query that queued
+  // behind an identical one hits once that one has stored its answer.
+  return RunInSlot(options, [&](const core::RefineOptions& opts) {
+    return cache::ExecuteQueryCached(cache, cq, opts, outcome);
+  });
 }
 
 SessionStats EngineSession::stats() const {

@@ -24,7 +24,8 @@ struct EngineSessionOptions {
   int max_concurrent_queries = 0;
 };
 
-// Session-level counters (admission + a pool snapshot).
+// Session-level counters (admission + a pool snapshot). Admission counts
+// executed queries only; cache hits of ExecuteCached never enter it.
 struct SessionStats {
   int active_slots = 0;       // queries executing right now (gauge)
   int peak_slots = 0;         // high-water mark of active_slots
@@ -38,11 +39,11 @@ struct SessionStats {
 
 // The multi-query front end (DESIGN.md §10): N concurrent Execute /
 // ExecuteCached calls multiplex over one persistent WorkerPool + shared
-// TimerWheel with admission control. Every call runs in a *query slot*
-// with fully isolated per-query state — the coordinator, fail registry,
-// replay pool and DelayedBroadcast epochs are constructed per call
-// inside ExecuteQuery, so slots share only the scheduler and results
-// stay byte-identical to a query run alone.
+// TimerWheel with admission control. Every executed query runs in a
+// *query slot* with fully isolated per-query state — the coordinator,
+// fail registry, replay pool and DelayedBroadcast epochs are constructed
+// per call inside ExecuteQuery, so slots share only the scheduler and
+// results stay byte-identical to a query run alone.
 //
 // Admission control is FIFO with a task-demand gate: a query needs
 // instances * (2 + speculative) pool tasks, and the head of the queue is
@@ -50,6 +51,8 @@ struct SessionStats {
 // (b) its demand fits the pool's in-flight task budget — or the session
 // is empty, which guarantees progress for queries wider than the pool.
 // FIFO means no query can be starved by a stream of later, smaller ones.
+// It orders executed queries only: a cache hit of ExecuteCached is
+// answered before admission, so it may overtake queued misses.
 class EngineSession {
  public:
   explicit EngineSession(EngineSessionOptions options = {});
@@ -63,9 +66,10 @@ class EngineSession {
   Result<core::RunResult> Execute(const searchlight::QuerySpec& query,
                                   const core::RefineOptions& options);
 
-  // ExecuteQueryCached under the same slot discipline (cache probes and
-  // hit synthesis are admitted too — they are cheap, and bounding them
-  // keeps the concurrency cap honest).
+  // ExecuteQueryCached, resolved before admission: a hit returns at once
+  // (admission_wait_s 0, no slot held, not in SessionStats). Anything else
+  // is admitted and runs ExecuteQueryCached, whose second resolve lets a
+  // query queued behind an identical one hit on that one's answer.
   Result<core::RunResult> ExecuteCached(cache::SemanticCache* cache,
                                         const cache::CachedQuery& cq,
                                         const core::RefineOptions& options,
@@ -73,12 +77,6 @@ class EngineSession {
 
   SessionStats stats() const;
   int max_concurrent_queries() const { return max_concurrent_; }
-  // The in-flight pool-task budget of the admission gate (2x the pool's
-  // worker count). Tenant schedulers layered above the session size
-  // their per-tenant demand budgets against this.
-  int64_t task_capacity() const { return task_capacity_; }
-  WorkerPool* pool() const { return pool_; }
-  TimerWheel* wheel() const { return wheel_; }
 
   // Pool tasks a query with these options occupies while running
   // (solver + validator per instance, plus the speculative loop) — the
@@ -93,6 +91,11 @@ class EngineSession {
   static EngineSession& Shared();
 
  private:
+  // Admits the query, runs `run` on this session's pool and wheel,
+  // releases the slot and stamps the admission wait on the result.
+  template <typename RunFn>
+  Result<core::RunResult> RunInSlot(const core::RefineOptions& options,
+                                    RunFn run);
   // Blocks until this query may run; returns its wait in seconds.
   double Admit(int64_t demand);
   void Release(int64_t demand);

@@ -6,25 +6,17 @@
 
 namespace dqr::exec {
 
-namespace {
-
-int ResolvePoolThreads(int requested) {
+int ResolveCount(int requested, const char* env, int max, int fallback) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("DQR_POOL_THREADS")) {
+  if (const char* value = std::getenv(env)) {
     char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0 && v <= 1024) {
+    const long v = std::strtol(value, &end, 10);
+    if (end != value && *end == '\0' && v > 0 && v <= max) {
       return static_cast<int>(v);
     }
   }
-  // Engine tasks block on barriers and candidate queues for most of
-  // their life, so the default oversubscribes cores: enough workers that
-  // a handful of concurrent queries land warm.
-  int hw = static_cast<int>(std::thread::hardware_concurrency());
-  return std::max(4, 2 * std::max(hw, 1));
+  return fallback;
 }
-
-}  // namespace
 
 void TaskHandle::Wait() const {
   if (!state_) return;
@@ -39,7 +31,12 @@ bool TaskHandle::warm_start() const {
 }
 
 WorkerPool::WorkerPool(int num_threads) {
-  int n = ResolvePoolThreads(num_threads);
+  // Engine tasks block on barriers and candidate queues for most of
+  // their life, so the default oversubscribes cores: enough workers that
+  // a handful of concurrent queries land warm.
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  const int n = ResolveCount(num_threads, "DQR_POOL_THREADS", 1024,
+                             std::max(4, 2 * std::max(hw, 1)));
   workers_.reserve(n);
   for (int i = 0; i < n; ++i) {
     auto worker = std::make_unique<Worker>();
@@ -111,7 +108,6 @@ TaskHandle WorkerPool::Dispatch(std::function<void()> fn) {
     Worker* worker = idle_.back();
     idle_.pop_back();
     ++busy_;
-    peak_busy_ = std::max(peak_busy_, busy_);
     ++spawn_avoided_;
     state->warm = true;
     worker->handle = std::move(state);
@@ -150,7 +146,6 @@ PoolStats WorkerPool::stats() const {
   PoolStats out;
   out.threads = static_cast<int>(workers_.size());
   out.busy = busy_;
-  out.peak_busy = peak_busy_;
   out.dispatched = dispatched_;
   out.spawn_avoided = spawn_avoided_;
   out.overflow_spawns = overflow_spawns_;

@@ -11,13 +11,16 @@
 
 namespace dqr::exec {
 
+// `requested` when positive, else the integer in environment variable
+// `env` when it lies in [1, max], else `fallback`.
+int ResolveCount(int requested, const char* env, int max, int fallback);
+
 // Pool occupancy / dispatch counters, all monotonic except the gauges.
 // Exposed per query through the RunStats pool_* fields and process-wide
 // through EngineSession::stats() (DESIGN.md §10).
 struct PoolStats {
   int threads = 0;             // persistent workers alive
   int busy = 0;                // workers running a task right now (gauge)
-  int peak_busy = 0;           // high-water mark of `busy`
   int64_t dispatched = 0;      // total tasks handed to the pool
   int64_t spawn_avoided = 0;   // tasks served by an already-warm worker
   int64_t overflow_spawns = 0; // tasks that needed a transient thread
@@ -110,7 +113,6 @@ class WorkerPool {
   int64_t overflow_live_ = 0;
 
   int busy_ = 0;
-  int peak_busy_ = 0;
   int64_t dispatched_ = 0;
   int64_t spawn_avoided_ = 0;
   int64_t overflow_spawns_ = 0;

@@ -16,6 +16,7 @@
 #include "core/fault.h"
 #include "core/knobs.h"
 #include "core/refiner.h"
+#include "exec/engine_session.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "serve/client.h"
@@ -250,8 +251,10 @@ CaseResult RunSessionCase(const CaseConfig& c, InjectedBug bug) {
   // Two structurally identical sessions over the same data: the cold leg
   // runs each query fresh, the warm leg shares one SemanticCache — its
   // bounds memo attached to every step's functions, answers routed
-  // through ExecuteQueryCached so exact hits, subsumption, and warm
-  // starts all get exercised by whatever the mutation chain produces.
+  // through the shared EngineSession's ExecuteCached (resolve, then admit
+  // a miss) so exact hits, subsumption, and warm starts all get exercised
+  // by whatever the mutation chain produces. The shared session runs on
+  // the pool and wheel ExecuteQuery defaults to.
   const QuerySession cold =
       MakeSession(c.seed, c.mode, plan, c.overrides, c.grid);
   cache::SemanticCache sem;
@@ -313,7 +316,8 @@ CaseResult RunSessionCase(const CaseConfig& c, InjectedBug bug) {
     cq.function_ids = ww.function_ids;
     cache::CacheOutcome outcome = cache::CacheOutcome::kMiss;
     Result<core::RunResult> warm_run =
-        cache::ExecuteQueryCached(&sem, cq, warm_options, &outcome);
+        exec::EngineSession::Shared().ExecuteCached(&sem, cq, warm_options,
+                                                    &outcome);
     if (!warm_run.ok()) {
       out.error =
           step_tag(step) + " warm engine: " + warm_run.status().ToString();

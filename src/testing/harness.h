@@ -64,8 +64,8 @@ CaseResult RunCase(const CaseConfig& c, InjectedBug bug = InjectedBug::kNone);
 // plan from the seed and executes every step three ways — oracle, cold
 // engine, and warm engine behind a single SemanticCache (shared bounds
 // memo attached to the warm leg's functions, answers routed through
-// ExecuteQueryCached) — demanding all three canonical result sets agree
-// at every step. The per-step cache outcome trail ("cache=miss,warm,
+// EngineSession::Shared().ExecuteCached) — demanding all three canonical
+// result sets agree at every step. The per-step cache outcome trail ("cache=miss,warm,
 // exact,...") lands in `detail` and therefore in repro files, so a
 // failing session shows which reuse path produced the wrong answer.
 // `bug` perturbs the warm leg's results (self-test only).

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -255,6 +258,100 @@ TEST(ConcurrentDeterminismTest, ConcurrentCachedQueriesShareOneCache) {
   EXPECT_EQ(stats.exact_hits + stats.subsume_hits + stats.warm_starts +
                 stats.misses,
             kClients);
+}
+
+cache::CachedQuery CachedQueryOf(const Workload& workload,
+                                 const std::string& dataset_id) {
+  cache::CachedQuery cq;
+  cq.query = workload.query;
+  cq.dataset_id = dataset_id;
+  cq.function_ids = workload.function_ids;
+  return cq;
+}
+
+// The cache is resolved before admission: with a one-slot session's slot
+// held by a running miss, an exact hit on the same cache returns at once.
+// It never waits for the slot and is not counted as admitted, since FIFO
+// admission orders executed queries only. The miss holds the slot by
+// blocking in its first streamed result until the hit has returned; the
+// timeout there turns a hit that waits for the slot into a failure, not
+// a hang.
+TEST(ConcurrentDeterminismTest, CacheHitOvertakesRunningMiss) {
+  const Workload hit_workload = MakeWorkload(41, FuzzMode::kRelax);
+  const Workload miss_workload = MakeWorkload(42, FuzzMode::kRelax);
+  const EngineConfig config;
+
+  exec::WorkerPool pool(2);
+  exec::TimerWheel wheel;
+  exec::EngineSessionOptions session_options;
+  session_options.pool = &pool;
+  session_options.wheel = &wheel;
+  session_options.max_concurrent_queries = 1;
+  exec::EngineSession session(session_options);
+  cache::SemanticCache sem;
+
+  core::FaultPlan hit_plan;
+  const core::RefineOptions hit_options =
+      config.ToOptions(hit_workload, &hit_plan);
+  const cache::CachedQuery hit_query = CachedQueryOf(hit_workload, "hit");
+  const auto first = session.ExecuteCached(&sem, hit_query, hit_options);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first.value().stats.completed);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool miss_running = false;
+  bool miss_returned = false;
+  bool hit_returned = false;
+  core::FaultPlan miss_plan;
+  core::RefineOptions miss_options =
+      config.ToOptions(miss_workload, &miss_plan);
+  miss_options.on_result = [&](const core::Solution&) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (miss_running) return;
+    miss_running = true;
+    cv.notify_all();
+    cv.wait_for(lock, std::chrono::seconds(10), [&] { return hit_returned; });
+  };
+  std::thread miss([&] {
+    const auto run = session.ExecuteCached(
+        &sem, CachedQueryOf(miss_workload, "miss"), miss_options);
+    EXPECT_TRUE(run.ok()) << run.status().ToString();
+    std::lock_guard<std::mutex> lock(mu);
+    miss_returned = true;
+  });
+  bool started = false;
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    started = cv.wait_for(lock, std::chrono::seconds(60),
+                          [&] { return miss_running || miss_returned; }) &&
+              miss_running;
+  }
+
+  cache::CacheOutcome outcome = cache::CacheOutcome::kMiss;
+  const auto hit = session.ExecuteCached(&sem, hit_query, hit_options,
+                                         &outcome);
+  const exec::SessionStats during = session.stats();
+  bool overtook = false;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    overtook = !miss_returned;
+    hit_returned = true;
+  }
+  cv.notify_all();
+  miss.join();
+
+  ASSERT_TRUE(started) << "the miss streamed no result";
+  EXPECT_TRUE(overtook) << "the hit returned only after the miss";
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_EQ(outcome, cache::CacheOutcome::kExactHit);
+  EXPECT_EQ(hit.value().stats.admission_wait_s, 0.0);
+  EXPECT_EQ(core::Canonicalize(hit.value().results),
+            core::Canonicalize(first.value().results));
+  EXPECT_EQ(during.active_slots, 1);
+  EXPECT_EQ(during.queries_admitted, 2);  // the first run and the miss
+  EXPECT_EQ(session.stats().queries_admitted, 2);
+  EXPECT_EQ(session.stats().queries_queued, 0);
 }
 
 }  // namespace
